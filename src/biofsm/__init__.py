@@ -7,119 +7,4 @@ LED/buzzer pair. A tick-accurate simulator and an accuracy evaluation round
 out the package.
 """
 
-from .classifier import (
-    ArousalClass,
-    FeatureExtractor,
-    FeatureFrame,
-    LadderConfig,
-    WindowAccumulator,
-    WindowDecision,
-    classify_window,
-    score_frame,
-)
-from .fsm import (
-    DEFAULT_BROWNOUT_TICKS,
-    ActuationCommand,
-    BenchState,
-    DeterminismReport,
-    FsmRuntime,
-    Tone,
-    actuation_for,
-    tick,
-    verify_determinism,
-)
-from .protocol import (
-    DEFAULT_PORT,
-    EndpointConfig,
-    InputSymbol,
-    UdpReceiver,
-    UdpSender,
-    decode_payload,
-    encode_class,
-)
-from .signals import (
-    BeatDetector,
-    BeatEvent,
-    Channel,
-    DetectorConfig,
-    GsrCollector,
-    GsrWindow,
-    HeartRateTracker,
-    PhysioSample,
-    SampleOrderError,
-    SignalProfile,
-    bpm_from_beat,
-    gsr_smooth,
-    load_trace,
-    save_trace,
-    synth_physio,
-)
-from .sim import (
-    AccuracyReport,
-    ScriptError,
-    SimStep,
-    TraceRecord,
-    evaluate_table3,
-    load_script,
-    load_table3,
-    parse_script,
-    replay_script,
-    run_simulation,
-    serialize_trace,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArousalClass",
-    "FeatureExtractor",
-    "FeatureFrame",
-    "LadderConfig",
-    "WindowAccumulator",
-    "WindowDecision",
-    "classify_window",
-    "score_frame",
-    "DEFAULT_BROWNOUT_TICKS",
-    "ActuationCommand",
-    "BenchState",
-    "DeterminismReport",
-    "FsmRuntime",
-    "Tone",
-    "actuation_for",
-    "tick",
-    "verify_determinism",
-    "DEFAULT_PORT",
-    "EndpointConfig",
-    "InputSymbol",
-    "UdpReceiver",
-    "UdpSender",
-    "decode_payload",
-    "encode_class",
-    "BeatDetector",
-    "BeatEvent",
-    "Channel",
-    "DetectorConfig",
-    "GsrCollector",
-    "GsrWindow",
-    "HeartRateTracker",
-    "PhysioSample",
-    "SampleOrderError",
-    "SignalProfile",
-    "bpm_from_beat",
-    "gsr_smooth",
-    "load_trace",
-    "save_trace",
-    "synth_physio",
-    "AccuracyReport",
-    "ScriptError",
-    "SimStep",
-    "TraceRecord",
-    "evaluate_table3",
-    "load_script",
-    "load_table3",
-    "parse_script",
-    "replay_script",
-    "run_simulation",
-    "serialize_trace",
-    "__version__",
-]

@@ -10,7 +10,7 @@ than clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .signals import (
@@ -20,7 +20,6 @@ from .signals import (
     HeartRateTracker,
     Channel,
     PhysioSample,
-    gsr_smooth,
 )
 
 
@@ -108,10 +107,14 @@ def score_frame(frame: FeatureFrame, config: LadderConfig) -> list[float]:
 
 @dataclass
 class WindowDecision:
+    """A window's vote, with the means of the in-range frames that cast it."""
+
     window_index: int
     arousal: ArousalClass
     score_vector: list[float]
     frames_used: int
+    bpm_mean: float
+    gsr_mean: float
 
 
 def classify_window(
@@ -126,27 +129,28 @@ def classify_window(
     the calmer interpretation wins.
     """
     config = config or LadderConfig()
+    used = [frame for frame in frames if config.frame_in_range(frame)]
+    if not used:
+        return None
     totals = [0.0, 0.0, 0.0]
-    used = 0
-    for frame in frames:
-        if not config.frame_in_range(frame):
-            continue
+    for frame in used:
         for k, s in enumerate(score_frame(frame, config)):
             totals[k] += s
-        used += 1
-    if used == 0:
-        return None
     best = ArousalClass.NORMAL
     for cls in (ArousalClass.MILD, ArousalClass.HIGH):
         if totals[cls] > totals[best]:
             best = cls
-    return WindowDecision(window_index, best, totals, used)
+    n = len(used)
+    return WindowDecision(
+        window_index, best, totals, n, sum(f.bpm for f in used) / n, sum(f.gsr_us for f in used) / n
+    )
 
 
 @dataclass
 class ClosedWindow:
+    """The frames that landed in one window, in arrival order."""
+
     window_index: int
-    decision: WindowDecision | None
     frames: list[FeatureFrame]
 
 
@@ -181,27 +185,21 @@ class WindowAccumulator:
         self._frames = []
         index = self._current
         self._current += 1
-        decision = classify_window(frames, self.config, index)
-        return ClosedWindow(index, decision, frames)
+        return ClosedWindow(index, frames)
 
 
 class FeatureExtractor:
     """Fuses the raw two-channel stream into per-beat feature frames.
 
-    Heart rate comes from inter-beat gaps (optionally averaged over the last
-    few), skin conductance from the smoothing window snapshotted at the beat.
-    Frames start once the first gap exists and the GSR window has filled.
+    Heart rate comes from the latest inter-beat gap, skin conductance from
+    the smoothing window's mean at the beat. Frames start once the first gap
+    exists and the GSR window has filled.
     """
 
-    def __init__(
-        self,
-        detector_config: DetectorConfig | None = None,
-        bpm_intervals: int = 1,
-        gsr_window: int = 8,
-    ):
+    def __init__(self, detector_config: DetectorConfig | None = None):
         self.detector = BeatDetector(detector_config)
-        self.tracker = HeartRateTracker(bpm_intervals)
-        self.collector = GsrCollector(gsr_window)
+        self.tracker = HeartRateTracker()
+        self.collector = GsrCollector()
 
     def add(self, sample: PhysioSample) -> FeatureFrame | None:
         if sample.channel is Channel.GSR:
@@ -210,9 +208,8 @@ class FeatureExtractor:
         beat = self.detector.step(sample)
         if beat is None:
             return None
-        estimate = self.tracker.update(beat)
-        if estimate is None or not self.collector.is_warm:
+        bpm = self.tracker.update(beat)
+        gsr = self.collector.smoothed()
+        if bpm is None or gsr is None:
             return None
-        window = self.collector.window_at(beat.beat_index)
-        assert window is not None  # is_warm guarantees samples exist
-        return FeatureFrame(beat.beat_index, beat.timestamp_ms, estimate.bpm, gsr_smooth(window))
+        return FeatureFrame(beat.beat_index, beat.timestamp_ms, bpm, gsr)

@@ -8,16 +8,16 @@ consecutive silent ticks latch BROWNOUT until a valid byte arrives.
 
 Transitions are pure functions of (state, silence counter, input), which
 makes the machine exhaustively checkable: `verify_determinism` enumerates
-every configuration and proves each has exactly one successor.
+every configuration and checks that each successor is a valid one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .protocol import InputSymbol
+from .protocol import CLASS_SYMBOLS, InputSymbol
 
 
 class BenchState(Enum):
@@ -43,33 +43,20 @@ class ActuationCommand:
     tone: Tone
 
 
-STATE_COLORS: dict[BenchState, tuple[int, int, int]] = {
-    BenchState.NORMAL: (0, 255, 0),
-    BenchState.MILD: (255, 165, 0),
-    BenchState.HIGH: (255, 0, 0),
-    BenchState.INVALID: (255, 255, 255),
-    BenchState.BROWNOUT: (255, 0, 255),
+# The benchtop's five-row actuation table. Every tick returns one of these
+# shared commands.
+ACTUATION: dict[BenchState, ActuationCommand] = {
+    BenchState.NORMAL: ActuationCommand((0, 255, 0), Tone.TONE1),
+    BenchState.MILD: ActuationCommand((255, 165, 0), Tone.TONE2),
+    BenchState.HIGH: ActuationCommand((255, 0, 0), Tone.TONE3),
+    BenchState.INVALID: ActuationCommand((255, 255, 255), Tone.SILENT),
+    BenchState.BROWNOUT: ActuationCommand((255, 0, 255), Tone.SILENT),
 }
 
-STATE_TONES: dict[BenchState, Tone] = {
-    BenchState.NORMAL: Tone.TONE1,
-    BenchState.MILD: Tone.TONE2,
-    BenchState.HIGH: Tone.TONE3,
-    BenchState.INVALID: Tone.SILENT,
-    BenchState.BROWNOUT: Tone.SILENT,
-}
-
-_VALID_TARGETS: dict[InputSymbol, BenchState] = {
-    InputSymbol.VALID_A: BenchState.NORMAL,
-    InputSymbol.VALID_B: BenchState.MILD,
-    InputSymbol.VALID_C: BenchState.HIGH,
-}
+# A valid symbol moves to the state named after the class it carries.
+_TARGETS = {symbol: BenchState[arousal.name] for arousal, symbol in CLASS_SYMBOLS.items()}
 
 DEFAULT_BROWNOUT_TICKS = 10
-
-
-def actuation_for(state: BenchState) -> ActuationCommand:
-    return ActuationCommand(STATE_COLORS[state], STATE_TONES[state])
 
 
 @dataclass(frozen=True)
@@ -91,18 +78,17 @@ class FsmRuntime:
 
 def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, ActuationCommand]:
     """Advance the machine one tick. Pure: equal inputs give equal outputs."""
+    silence = 0
     if symbol is InputSymbol.ABSENT:
         silence = min(runtime.silence_ticks + 1, runtime.brownout_ticks)
         state = BenchState.BROWNOUT if silence >= runtime.brownout_ticks else runtime.state
-        nxt = replace(runtime, state=state, silence_ticks=silence)
     elif symbol is InputSymbol.UNRECOGNIZED:
         # Garbage proves the link is alive, so the silence counter resets,
         # but only a valid byte may lift a brownout.
         state = runtime.state if runtime.state is BenchState.BROWNOUT else BenchState.INVALID
-        nxt = replace(runtime, state=state, silence_ticks=0)
     else:
-        nxt = replace(runtime, state=_VALID_TARGETS[symbol], silence_ticks=0)
-    return nxt, actuation_for(nxt.state)
+        state = _TARGETS[symbol]
+    return FsmRuntime(state, silence, runtime.brownout_ticks), ACTUATION[state]
 
 
 @dataclass
@@ -139,10 +125,11 @@ class DeterminismReport:
 
 
 def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> DeterminismReport:
-    """Prove each (state, silence, input) configuration has one successor.
+    """Check every (state, silence, input) configuration's successor.
 
-    Every configuration is ticked twice and the two outcomes compared, so a
-    hidden dependence on anything mutable would surface as a conflict. The
+    Each configuration is ticked once. Its successor must be a valid
+    configuration of the same machine (construction rejects a silence
+    counter outside 0..brownout_ticks) carrying its state's actuation. The
     successor table is keyed by (state, input); an ABSENT cell may legally
     hold several successors because the silence counter, not the state,
     picks between staying put and browning out.
@@ -154,16 +141,11 @@ def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> Determin
     checked = 0
     for state, symbol in itertools.product(BenchState, InputSymbol):
         for silence in range(brownout_ticks + 1):
-            runtime = FsmRuntime(state, silence, brownout_ticks)
-            first = tick(runtime, symbol)
-            second = tick(runtime, symbol)
+            nxt, command = tick(FsmRuntime(state, silence, brownout_ticks), symbol)
             checked += 1
-            if first != second:
-                conflicts.append(
-                    f"({state.name}, silence={silence}, {symbol.name}) "
-                    f"gave {first[0].state.name} then {second[0].state.name}"
-                )
-            successors[(state, symbol)].add(first[0].state)
+            if nxt.brownout_ticks != brownout_ticks or command is not ACTUATION[nxt.state]:
+                conflicts.append(f"({state.name}, silence={silence}, {symbol.name}) gave {nxt}, {command}")
+            successors[(state, symbol)].add(nxt.state)
         if symbol is not InputSymbol.ABSENT and len(successors[(state, symbol)]) > 1:
             names = sorted(s.name for s in successors[(state, symbol)])
             conflicts.append(f"({state.name}, {symbol.name}) has successors {names}")

@@ -8,18 +8,18 @@ after the fact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, Iterator
 
-from .classifier import FeatureExtractor, LadderConfig, WindowAccumulator
-from .fsm import DEFAULT_BROWNOUT_TICKS, BenchState, FsmRuntime, tick
+from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, classify_window
+from .fsm import DEFAULT_BROWNOUT_TICKS
 from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import DetectorConfig, PhysioSample
-from .sim import SimStep
+from .sim import SimStep, iter_steps
 
 log = logging.getLogger(__name__)
 
@@ -60,30 +60,27 @@ def run_wearable(
     detector: DetectorConfig | None = None,
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
-    bpm_intervals: int = 1,
-    inter_window_delay_s: float = 0.0,
 ) -> list[WindowEmission]:
     """Consume a sample stream, emit one classification byte per decided window.
 
     Windows that close without a usable decision are logged but nothing is
-    sent; the benchtop's silence handling covers that case. An empty stream
-    emits nothing and returns cleanly.
+    sent; the benchtop's silence handling covers that case. A send that
+    fails is logged and recorded with no byte sent. An empty stream emits
+    nothing and returns cleanly.
     """
     ladder = ladder or LadderConfig()
-    extractor = FeatureExtractor(detector, bpm_intervals=bpm_intervals)
+    extractor = FeatureExtractor(detector)
     accumulator = WindowAccumulator(ladder)
     emissions: list[WindowEmission] = []
     log_file = _open_log(log_path)
     try:
         with UdpSender(endpoint) as sender:
-            def handle(closed_windows) -> None:
+            def handle(closed_windows: list[ClosedWindow]) -> None:
                 for closed in closed_windows:
                     emission = _emit_window(closed, ladder, sender)
                     emissions.append(emission)
                     if log_file is not None:
                         log_file.write(json.dumps(emission.record()) + "\n")
-                    if inter_window_delay_s > 0:
-                        time.sleep(inter_window_delay_s)
 
             for sample in samples:
                 frame = extractor.add(sample)
@@ -96,32 +93,29 @@ def run_wearable(
     return emissions
 
 
-def _emit_window(closed, ladder: LadderConfig, sender: UdpSender) -> WindowEmission:
-    in_range = [f for f in closed.frames if ladder.frame_in_range(f)]
-    bpm_mean = sum(f.bpm for f in in_range) / len(in_range) if in_range else None
-    gsr_mean = sum(f.gsr_us for f in in_range) / len(in_range) if in_range else None
-    if closed.decision is None:
+def _emit_window(closed: ClosedWindow, ladder: LadderConfig, sender: UdpSender) -> WindowEmission:
+    decision = classify_window(closed.frames, ladder, closed.window_index)
+    if decision is None:
         log.info("window %d: no usable frames, nothing sent", closed.window_index)
-        return WindowEmission(closed.window_index, 0, bpm_mean, gsr_mean, None, None)
-    arousal = closed.decision.arousal
-    payload = encode_class(arousal)
-    sender.send_class(arousal)
+        return WindowEmission(closed.window_index, 0, None, None, None, None)
+    payload = encode_class(decision.arousal)
+    byte_sent = payload.decode("ascii") if sender.send_raw(payload) else None
     log.info(
-        "window %d: %s (bpm %.1f, gsr %.2f uS, %d frames) -> sent %s",
+        "window %d: %s (bpm %.1f, gsr %.2f uS, %d frames) -> %s",
         closed.window_index,
-        arousal.name,
-        bpm_mean if bpm_mean is not None else float("nan"),
-        gsr_mean if gsr_mean is not None else float("nan"),
-        closed.decision.frames_used,
-        payload.decode("ascii"),
+        decision.arousal.name,
+        decision.bpm_mean,
+        decision.gsr_mean,
+        decision.frames_used,
+        "send failed" if byte_sent is None else f"sent {byte_sent}",
     )
     return WindowEmission(
         closed.window_index,
-        closed.decision.frames_used,
-        bpm_mean,
-        gsr_mean,
-        arousal.name,
-        payload.decode("ascii"),
+        decision.frames_used,
+        decision.bpm_mean,
+        decision.gsr_mean,
+        decision.arousal.name,
+        byte_sent,
     )
 
 
@@ -131,7 +125,6 @@ def run_benchtop(
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
     log_path: str | Path | None = None,
     max_ticks: int | None = None,
-    initial_state: BenchState = BenchState.NORMAL,
     receiver: UdpReceiver | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> list[SimStep]:
@@ -144,7 +137,6 @@ def run_benchtop(
     """
     if tick_ms <= 0:
         raise ValueError("tick_ms must be positive")
-    runtime = FsmRuntime(initial_state, 0, brownout_ticks)
     steps: list[SimStep] = []
     log_file = _open_log(log_path)
     own_receiver = receiver is None
@@ -152,33 +144,40 @@ def run_benchtop(
         receiver = UdpReceiver(endpoint)
     try:
         log.info("benchtop listening on %s:%d", receiver.config.bind_host, receiver.port)
-        index = 0
-        while max_ticks is None or index < max_ticks:
-            if should_stop is not None and should_stop():
-                break
-            try:
-                received = receiver.poll_receive(tick_ms / 1000.0)
-            except KeyboardInterrupt:
-                log.info("benchtop interrupted, stopping")
-                break
-            symbol = InputSymbol.ABSENT if received is None else received
-            runtime, command = tick(runtime, symbol)
-            step = SimStep(index, symbol, runtime.state, command)
+        received = _received(receiver, tick_ms, max_ticks, should_stop)
+        for step in iter_steps(received, brownout_ticks):
             steps.append(step)
             if log_file is not None:
                 log_file.write(json.dumps(step.record()) + "\n")
             log.info(
                 "tick %d: input %s -> %s color=%s tone=%s",
-                index,
-                symbol.value,
-                runtime.state.value,
-                command.color,
-                command.tone.value,
+                step.tick,
+                step.input.value,
+                step.state.value,
+                step.command.color,
+                step.command.tone.value,
             )
-            index += 1
     finally:
         if log_file is not None:
             log_file.close()
         if own_receiver:
             receiver.close()
     return steps
+
+
+def _received(
+    receiver: UdpReceiver,
+    tick_ms: float,
+    max_ticks: int | None,
+    should_stop: Callable[[], bool] | None,
+) -> Iterator[InputSymbol]:
+    """One symbol per tick off the wire until `max_ticks`, `should_stop` or Ctrl-C."""
+    for _ in itertools.count() if max_ticks is None else range(max_ticks):
+        if should_stop is not None and should_stop():
+            return
+        try:
+            received = receiver.poll_receive(tick_ms / 1000.0)
+        except KeyboardInterrupt:
+            log.info("benchtop interrupted, stopping")
+            return
+        yield InputSymbol.ABSENT if received is None else received

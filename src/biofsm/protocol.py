@@ -31,33 +31,26 @@ class InputSymbol(Enum):
     ABSENT = "-"
 
 
-_CLASS_TO_BYTE = {
-    ArousalClass.NORMAL: b"A",
-    ArousalClass.MILD: b"B",
-    ArousalClass.HIGH: b"C",
-}
-
-_BYTE_TO_SYMBOL = {
-    b"A": InputSymbol.VALID_A,
-    b"B": InputSymbol.VALID_B,
-    b"C": InputSymbol.VALID_C,
-}
-
-symbol_for_class = {
+# The protocol alphabet: the input symbol each arousal class travels as. A
+# symbol's value is its one-byte ASCII payload and its script token.
+CLASS_SYMBOLS = {
     ArousalClass.NORMAL: InputSymbol.VALID_A,
     ArousalClass.MILD: InputSymbol.VALID_B,
     ArousalClass.HIGH: InputSymbol.VALID_C,
 }
 
+PAYLOADS = {symbol: symbol.value.encode("ascii") for symbol in CLASS_SYMBOLS.values()}
+_DECODED = {payload: symbol for symbol, payload in PAYLOADS.items()}
+
 
 def encode_class(arousal: ArousalClass) -> bytes:
     """Encode an arousal class as its one-byte payload."""
-    return _CLASS_TO_BYTE[arousal]
+    return PAYLOADS[CLASS_SYMBOLS[arousal]]
 
 
 def decode_payload(payload: bytes) -> InputSymbol:
     """Decode a datagram payload. Total: unknown payloads are UNRECOGNIZED."""
-    return _BYTE_TO_SYMBOL.get(payload, InputSymbol.UNRECOGNIZED)
+    return _DECODED.get(payload, InputSymbol.UNRECOGNIZED)
 
 
 @dataclass
@@ -83,9 +76,6 @@ class UdpSender:
     def __init__(self, config: EndpointConfig | None = None):
         self.config = config or EndpointConfig()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-
-    def send_class(self, arousal: ArousalClass) -> bool:
-        return self.send_raw(encode_class(arousal))
 
     def send_raw(self, payload: bytes) -> bool:
         """Send one datagram; a refused or failed send is logged and dropped."""

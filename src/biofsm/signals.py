@@ -3,9 +3,9 @@
 The wearable side of the system works on two raw channels. The optical pulse
 channel (PPG) carries a small cardiac AC ripple on top of a large, slowly
 moving DC baseline; beats are declared by threshold crossings of the
-baseline-removed signal. The skin-conductance channel (GSR) is smoothed with a
-short convolution window whose snapshots are anchored to beat detections, so
-downstream features stay synchronized to the heartbeat.
+baseline-removed signal. The skin-conductance channel (GSR) is smoothed by a
+short moving mean that is read at each beat detection, so downstream
+features stay synchronized to the heartbeat.
 
 Streams can come from the synthetic generator (`synth_physio`) or from a
 recorded trace CSV (`load_trace`). Both produce the same `PhysioSample` items.
@@ -17,7 +17,7 @@ import csv
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -53,12 +53,6 @@ class BeatEvent:
     beat_index: int
     timestamp_ms: float
     inter_beat_interval_ms: float | None = None
-
-
-@dataclass
-class HeartRateEstimate:
-    bpm: float
-    at_beat: int
 
 
 @dataclass
@@ -146,20 +140,11 @@ class BeatDetector:
         return beat
 
 
-def bpm_from_beat(event: BeatEvent) -> HeartRateEstimate | None:
-    """Single-interval heart rate: 60000 / inter-beat gap. Absent for beat 0."""
-    if event.inter_beat_interval_ms is None:
-        return None
-    if event.inter_beat_interval_ms <= 0:
-        raise ValueError(f"inter-beat interval must be positive, got {event.inter_beat_interval_ms}")
-    return HeartRateEstimate(60000.0 / event.inter_beat_interval_ms, event.beat_index)
-
-
 class HeartRateTracker:
     """Heart rate from the mean of the last `intervals` inter-beat gaps.
 
-    With intervals=1 this reduces to the single-interval estimate, which is
-    the default behaviour of the system.
+    With intervals=1, the system's setting, this is the single-interval
+    estimate 60000 / gap.
     """
 
     def __init__(self, intervals: int = 1):
@@ -167,46 +152,22 @@ class HeartRateTracker:
             raise ValueError("intervals must be >= 1")
         self._gaps: deque[float] = deque(maxlen=intervals)
 
-    def update(self, event: BeatEvent) -> HeartRateEstimate | None:
+    def update(self, event: BeatEvent) -> float | None:
+        """BPM after this beat; None for beat 0, which has no gap."""
         if event.inter_beat_interval_ms is None:
             return None
         if event.inter_beat_interval_ms <= 0:
             raise ValueError(f"inter-beat interval must be positive, got {event.inter_beat_interval_ms}")
         self._gaps.append(event.inter_beat_interval_ms)
         mean_gap = sum(self._gaps) / len(self._gaps)
-        return HeartRateEstimate(60000.0 / mean_gap, event.beat_index)
+        return 60000.0 / mean_gap
 
 
 GSR_WINDOW_SIZE = 8
 
 
-@dataclass
-class GsrWindow:
-    """The most recent GSR samples at the moment a beat was detected."""
-
-    samples: list[float]
-    anchored_beat: int
-
-
-def gsr_smooth(window: GsrWindow, kernel: Iterable[float] | None = None) -> float:
-    """Convolve the window with a kernel; the default is a uniform mean.
-
-    The window may hold fewer than the nominal 8 samples during warm-up; the
-    uniform kernel then averages whatever is present. An explicit kernel must
-    match the window length.
-    """
-    if not window.samples:
-        raise ValueError("cannot smooth an empty GSR window")
-    if kernel is None:
-        return sum(window.samples) / len(window.samples)
-    weights = list(kernel)
-    if len(weights) != len(window.samples):
-        raise ValueError(f"kernel length {len(weights)} != window length {len(window.samples)}")
-    return sum(w * s for w, s in zip(weights, window.samples))
-
-
 class GsrCollector:
-    """Rolling buffer of the last few GSR samples, snapshotted per beat."""
+    """Rolling buffer of the last few GSR samples; its mean is the smoothed level."""
 
     def __init__(self, size: int = GSR_WINDOW_SIZE):
         if size < 1:
@@ -225,15 +186,11 @@ class GsrCollector:
         self._last_timestamp_ms = sample.timestamp_ms
         self._samples.append(sample.value)
 
-    @property
-    def is_warm(self) -> bool:
-        return len(self._samples) == self.size
-
-    def window_at(self, beat_index: int) -> GsrWindow | None:
-        """Snapshot the buffer as the window anchored to the given beat."""
-        if not self._samples:
+    def smoothed(self) -> float | None:
+        """Uniform mean of the last `size` samples; None until that many arrived."""
+        if len(self._samples) < self.size:
             return None
-        return GsrWindow(list(self._samples), beat_index)
+        return sum(self._samples) / self.size
 
 
 @dataclass
@@ -318,8 +275,8 @@ TRACE_HEADER = ["timestamp_ms", "channel", "value"]
 def load_trace(path: str | Path) -> list[PhysioSample]:
     """Read a trace CSV (`timestamp_ms,channel,value`) into sample order.
 
-    Enforces per-channel strictly increasing timestamps so replays behave
-    like live capture.
+    Rejects non-finite fields and enforces per-channel strictly increasing
+    timestamps so replays behave like live capture.
     """
     samples: list[PhysioSample] = []
     last_seen: dict[Channel, float] = {}
@@ -342,6 +299,8 @@ def load_trace(path: str | Path) -> list[PhysioSample]:
                 value = float(row[2])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+            if not (math.isfinite(timestamp) and math.isfinite(value)):
+                raise ValueError(f"{path}: line {lineno}: non-finite field")
             if timestamp < 0:
                 raise SampleOrderError(f"{path}: line {lineno}: negative timestamp")
             prev = last_seen.get(channel)

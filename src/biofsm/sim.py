@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .classifier import ArousalClass
 from .fsm import (
@@ -28,9 +28,11 @@ from .fsm import (
     FsmRuntime,
     tick,
 )
-from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
+from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender
 
-SYMBOL_TOKENS = {s.value: s for s in InputSymbol}
+# Token -> symbol. A dict lookup, because calling InputSymbol(token) costs
+# about twenty times as much per token.
+_TOKENS = {symbol.value: symbol for symbol in InputSymbol}
 
 
 class ScriptError(ValueError):
@@ -44,9 +46,9 @@ def parse_script(text: str) -> list[InputSymbol]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line not in SYMBOL_TOKENS:
+        if line not in _TOKENS:
             raise ScriptError(f"line {lineno}: unknown symbol {line!r} (expected A, B, C, X or -)")
-        symbols.append(SYMBOL_TOKENS[line])
+        symbols.append(_TOKENS[line])
     return symbols
 
 
@@ -59,10 +61,6 @@ def load_script(path: str | Path) -> list[InputSymbol]:
         return parse_script(text)
     except ScriptError as exc:
         raise ScriptError(f"{path}: {exc}") from None
-
-
-def format_script(symbols: Iterable[InputSymbol]) -> str:
-    return "".join(f"{s.value}\n" for s in symbols)
 
 
 @dataclass
@@ -84,18 +82,20 @@ class SimStep:
         }
 
 
+def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[SimStep]:
+    """The tick loop every caller shares: one step per symbol, from NORMAL."""
+    runtime = FsmRuntime(brownout_ticks=brownout_ticks)
+    for index, symbol in enumerate(symbols):
+        runtime, command = tick(runtime, symbol)
+        yield SimStep(index, symbol, runtime.state, command)
+
+
 def run_simulation(
     script: Sequence[InputSymbol],
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
-    initial_state: BenchState = BenchState.NORMAL,
 ) -> list[SimStep]:
     """Run the machine over a script on the virtual clock."""
-    runtime = FsmRuntime(initial_state, 0, brownout_ticks)
-    steps: list[SimStep] = []
-    for index, symbol in enumerate(script):
-        runtime, command = tick(runtime, symbol)
-        steps.append(SimStep(index, symbol, runtime.state, command))
-    return steps
+    return list(iter_steps(script, brownout_ticks))
 
 
 def serialize_trace(steps: Iterable[SimStep]) -> str:
@@ -108,7 +108,6 @@ def replay_script(
     tick_ms: float = 50.0,
     drop_ticks: set[int] | None = None,
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
-    initial_state: BenchState = BenchState.NORMAL,
 ) -> list[SimStep]:
     """Replay a script over real loopback UDP, lockstep one datagram per tick.
 
@@ -118,22 +117,17 @@ def replay_script(
     arrived, so the returned steps carry the symbols as seen on the wire.
     """
     drop_ticks = drop_ticks or set()
-    runtime = FsmRuntime(initial_state, 0, brownout_ticks)
-    steps: list[SimStep] = []
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         endpoint = EndpointConfig(port=receiver.port)
         with UdpSender(endpoint) as sender:
-            for index, symbol in enumerate(script):
-                if index not in drop_ticks:
-                    if symbol in (InputSymbol.VALID_A, InputSymbol.VALID_B, InputSymbol.VALID_C):
-                        sender.send_raw(symbol.value.encode("ascii"))
-                    elif symbol is InputSymbol.UNRECOGNIZED:
-                        sender.send_raw(b"?")
-                received = receiver.poll_receive(tick_ms / 1000.0)
-                observed = InputSymbol.ABSENT if received is None else received
-                runtime, command = tick(runtime, observed)
-                steps.append(SimStep(index, observed, runtime.state, command))
-    return steps
+            def observed() -> Iterator[InputSymbol]:
+                for index, symbol in enumerate(script):
+                    if symbol is not InputSymbol.ABSENT and index not in drop_ticks:
+                        sender.send_raw(PAYLOADS.get(symbol, b"?"))
+                    received = receiver.poll_receive(tick_ms / 1000.0)
+                    yield InputSymbol.ABSENT if received is None else received
+
+            return list(iter_steps(observed(), brownout_ticks))
 
 
 @dataclass
@@ -275,15 +269,3 @@ def evaluate_table3(records: Sequence[TraceRecord]) -> AccuracyReport:
         matches = sum(1 for r in rows if r.self_report == r.predicted)
         clips.append(ClipAccuracy(clip_id, matches, len(rows), REPORTED_ACCURACY.get(clip_id)))
     return AccuracyReport(clips, REPORTED_AVERAGE)
-
-
-def replay_end_to_end(
-    records: Sequence[TraceRecord],
-    tick_ms: float = 50.0,
-    brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
-) -> list[SimStep]:
-    """Feed a fixture's predicted classes through the wire path in order."""
-    script = [
-        SYMBOL_TOKENS[encode_class(record.predicted).decode("ascii")] for record in records
-    ]
-    return replay_script(script, tick_ms=tick_ms, brownout_ticks=brownout_ticks)

@@ -21,10 +21,10 @@ from biofsm.protocol import InputSymbol
 from biofsm.signals import (
     BeatDetector,
     Channel,
-    GsrWindow,
+    GsrCollector,
+    HeartRateTracker,
+    PhysioSample,
     SignalProfile,
-    bpm_from_beat,
-    gsr_smooth,
     synth_physio,
 )
 from biofsm.sim import (
@@ -157,15 +157,16 @@ def test_criterion_4_fixture_accuracy_with_discrepancy_flag():
 
 def _recovered_bpm(profile, seed):
     detector = BeatDetector()
+    tracker = HeartRateTracker()
     estimates = []
     for sample in synth_physio(profile, 60_000, seed):
         if sample.channel is not Channel.PPG:
             continue
         beat = detector.step(sample)
         if beat is not None:
-            est = bpm_from_beat(beat)
-            if est is not None:
-                estimates.append(est.bpm)
+            bpm = tracker.update(beat)
+            if bpm is not None:
+                estimates.append(bpm)
     return median(estimates[2:])
 
 
@@ -186,28 +187,26 @@ def test_criterion_5_beat_rate_fidelity():
     )
 
 
+def _smoothed(values):
+    collector = GsrCollector()
+    for i, value in enumerate(values):
+        collector.add(PhysioSample(i * 100.0, Channel.GSR, value))
+    return collector.smoothed()
+
+
 def test_criterion_6_gsr_smoother_exact_and_linear():
-    step_window = GsrWindow([0.0] * 4 + [8.0] * 4, 0)
-    full_window = GsrWindow([8.0] * 8, 1)
+    step = _smoothed([0.0] * 4 + [8.0] * 4)
+    full = _smoothed([8.0] * 8)
     xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     ys = [10.0, -4.0, 0.5, 2.0, 7.0, 1.0, -3.0, 6.0]
-    combined = GsrWindow([2.0 * x + y for x, y in zip(xs, ys)], 2)
-    linear_error = abs(
-        gsr_smooth(combined)
-        - (2.0 * gsr_smooth(GsrWindow(xs, 0)) + gsr_smooth(GsrWindow(ys, 0)))
-    )
-    ok = (
-        gsr_smooth(step_window) == 4.0
-        and gsr_smooth(full_window) == 8.0
-        and gsr_smooth(GsrWindow([10.0] * 8, 3)) == 10.0
-        and linear_error < 1e-9
-    )
+    combined = [2.0 * x + y for x, y in zip(xs, ys)]
+    linear_error = abs(_smoothed(combined) - (2.0 * _smoothed(xs) + _smoothed(ys)))
+    ok = step == 4.0 and full == 8.0 and _smoothed([10.0] * 8) == 10.0 and linear_error < 1e-9
     _check(
         6,
         "smoother is exact on steps and linear",
         ok,
-        f"step={gsr_smooth(step_window)}, full={gsr_smooth(full_window)}, "
-        f"linearity error {linear_error:.2e}",
+        f"step={step}, full={full}, linearity error {linear_error:.2e}",
     )
 
 

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biofsm.fsm import (
+    ACTUATION,
     DEFAULT_BROWNOUT_TICKS,
     ActuationCommand,
     BenchState,
     FsmRuntime,
-    STATE_COLORS,
-    STATE_TONES,
     Tone,
-    actuation_for,
     tick,
     verify_determinism,
 )
@@ -26,12 +24,13 @@ TARGETS = {
 
 
 def test_actuation_table_is_exact():
-    assert actuation_for(BenchState.NORMAL) == ActuationCommand((0, 255, 0), Tone.TONE1)
-    assert actuation_for(BenchState.MILD) == ActuationCommand((255, 165, 0), Tone.TONE2)
-    assert actuation_for(BenchState.HIGH) == ActuationCommand((255, 0, 0), Tone.TONE3)
-    assert actuation_for(BenchState.INVALID) == ActuationCommand((255, 255, 255), Tone.SILENT)
-    assert actuation_for(BenchState.BROWNOUT) == ActuationCommand((255, 0, 255), Tone.SILENT)
-    assert set(STATE_COLORS) == set(BenchState) == set(STATE_TONES)
+    assert ACTUATION == {
+        BenchState.NORMAL: ActuationCommand((0, 255, 0), Tone.TONE1),
+        BenchState.MILD: ActuationCommand((255, 165, 0), Tone.TONE2),
+        BenchState.HIGH: ActuationCommand((255, 0, 0), Tone.TONE3),
+        BenchState.INVALID: ActuationCommand((255, 255, 255), Tone.SILENT),
+        BenchState.BROWNOUT: ActuationCommand((255, 0, 255), Tone.SILENT),
+    }
 
 
 @pytest.mark.parametrize("origin", list(BenchState))
@@ -41,7 +40,7 @@ def test_valid_input_reaches_its_state_from_anywhere(origin, symbol):
     nxt, command = tick(runtime, symbol)
     assert nxt.state is TARGETS[symbol]
     assert nxt.silence_ticks == 0
-    assert command == actuation_for(TARGETS[symbol])
+    assert command is ACTUATION[TARGETS[symbol]]  # the shared command, not a copy
 
 
 @pytest.mark.parametrize(
@@ -149,6 +148,26 @@ def test_exhaustive_enumeration_is_deterministic_and_fast():
     assert "deterministic" in table
     for state in BenchState:
         assert state.name in table
+
+
+def test_enumeration_flags_a_successor_outside_the_machine(monkeypatch):
+    import biofsm.fsm as fsm
+
+    real_tick = fsm.tick
+
+    def resized(runtime, symbol):
+        nxt, command = real_tick(runtime, symbol)
+        return FsmRuntime(nxt.state, nxt.silence_ticks, runtime.brownout_ticks + 1), command
+
+    def copied(runtime, symbol):
+        nxt, command = real_tick(runtime, symbol)
+        return nxt, ActuationCommand(command.color, command.tone)
+
+    for broken in (resized, copied):
+        monkeypatch.setattr(fsm, "tick", broken)
+        report = verify_determinism()
+        assert not report.deterministic
+        assert len(report.conflicts) == report.configurations_checked
 
 
 @settings(max_examples=60)

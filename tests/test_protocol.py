@@ -3,13 +3,13 @@ from hypothesis import given, strategies as st
 
 from biofsm.classifier import ArousalClass
 from biofsm.protocol import (
+    CLASS_SYMBOLS,
     EndpointConfig,
     InputSymbol,
     UdpReceiver,
     UdpSender,
     decode_payload,
     encode_class,
-    symbol_for_class,
 )
 
 
@@ -37,7 +37,7 @@ def test_decode_everything_else_is_unrecognized(payload):
 
 def test_decode_round_trip():
     for cls in ArousalClass:
-        assert decode_payload(encode_class(cls)) is symbol_for_class[cls]
+        assert decode_payload(encode_class(cls)) is CLASS_SYMBOLS[cls]
 
 
 @given(st.binary(max_size=64))
@@ -59,7 +59,7 @@ def test_loopback_delivery():
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         assert receiver.port != 0
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
-            assert sender.send_class(ArousalClass.HIGH)
+            assert sender.send_raw(encode_class(ArousalClass.HIGH))
             assert receiver.poll_receive(0.5) is InputSymbol.VALID_C
 
 
@@ -71,9 +71,8 @@ def test_poll_returns_none_on_silence():
 def test_newest_datagram_wins_within_a_tick():
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
-            sender.send_class(ArousalClass.NORMAL)
-            sender.send_class(ArousalClass.MILD)
-            sender.send_class(ArousalClass.HIGH)
+            for cls in ArousalClass:
+                sender.send_raw(encode_class(cls))
             assert receiver.poll_receive(0.3) is InputSymbol.VALID_C
         # the backlog was drained, nothing left for the next tick
         assert receiver.poll_receive(0.05) is None

@@ -10,13 +10,10 @@ from biofsm.signals import (
     Channel,
     DetectorConfig,
     GsrCollector,
-    GsrWindow,
     HeartRateTracker,
     PhysioSample,
     SampleOrderError,
     SignalProfile,
-    bpm_from_beat,
-    gsr_smooth,
     load_trace,
     save_trace,
     synth_physio,
@@ -32,14 +29,23 @@ def ppg_only(profile, duration_ms, seed):
 def detect_bpms(profile, duration_ms, seed, skip=2):
     """Single-interval estimates, dropping the first few warm-up beats."""
     detector = BeatDetector()
+    tracker = HeartRateTracker()
     estimates = []
     for sample in ppg_only(profile, duration_ms, seed):
         beat = detector.step(sample)
         if beat is not None:
-            est = bpm_from_beat(beat)
-            if est is not None:
-                estimates.append(est.bpm)
+            bpm = tracker.update(beat)
+            if bpm is not None:
+                estimates.append(bpm)
     return estimates[skip:]
+
+
+def smoothed(values):
+    """The collector's mean over exactly these GSR values."""
+    collector = GsrCollector(size=len(values))
+    for i, value in enumerate(values):
+        collector.add(PhysioSample(i * 100.0, Channel.GSR, value))
+    return collector.smoothed()
 
 
 def test_constant_input_produces_no_beats():
@@ -90,7 +96,7 @@ def test_baseline_drift_does_not_disturb_detection():
 
 
 def test_first_beat_has_no_rate():
-    assert bpm_from_beat(BeatEvent(0, 500.0, None)) is None
+    assert HeartRateTracker().update(BeatEvent(0, 500.0, None)) is None
 
 
 @pytest.mark.parametrize(
@@ -98,17 +104,14 @@ def test_first_beat_has_no_rate():
     [(1000.0, 60.0), (500.0, 120.0), (666.7, 89.995)],
 )
 def test_rate_from_interval(interval_ms, expected):
-    est = bpm_from_beat(BeatEvent(3, 2000.0, interval_ms))
-    assert est is not None
-    assert est.bpm == pytest.approx(expected, abs=0.01)
-    assert est.at_beat == 3
+    assert HeartRateTracker().update(BeatEvent(3, 2000.0, interval_ms)) == pytest.approx(expected, abs=0.01)
 
 
 def test_rate_rejects_nonpositive_interval():
     with pytest.raises(ValueError):
-        bpm_from_beat(BeatEvent(1, 1000.0, 0.0))
+        HeartRateTracker().update(BeatEvent(1, 1000.0, 0.0))
     with pytest.raises(ValueError):
-        bpm_from_beat(BeatEvent(1, 1000.0, -5.0))
+        HeartRateTracker().update(BeatEvent(1, 1000.0, -5.0))
 
 
 def test_tracker_averages_recent_intervals():
@@ -116,14 +119,15 @@ def test_tracker_averages_recent_intervals():
     assert tracker.update(BeatEvent(0, 0.0, None)) is None
     first = tracker.update(BeatEvent(1, 660.0, 660.0))
     second = tracker.update(BeatEvent(2, 1340.0, 680.0))
-    assert first is not None and first.bpm == pytest.approx(60000.0 / 660.0)
-    assert second is not None and second.bpm == pytest.approx(60000.0 / 670.0)
+    assert first == pytest.approx(60000.0 / 660.0)
+    assert second == pytest.approx(60000.0 / 670.0)
 
 
 def test_tracker_single_interval_matches_plain_estimate():
     tracker = HeartRateTracker(intervals=1)
-    event = BeatEvent(4, 5000.0, 750.0)
-    assert tracker.update(event).bpm == bpm_from_beat(event).bpm
+    assert tracker.update(BeatEvent(4, 5000.0, 750.0)) == 60000.0 / 750.0
+    # only the latest gap counts
+    assert tracker.update(BeatEvent(5, 5600.0, 600.0)) == 60000.0 / 600.0
 
 
 def test_ramp_estimates_rise_monotonically():
@@ -134,9 +138,9 @@ def test_ramp_estimates_rise_monotonically():
     for sample in ppg_only(profile, 120_000, seed=5):
         beat = detector.step(sample)
         if beat is not None:
-            est = tracker.update(beat)
-            if est is not None:
-                estimates.append(est.bpm)
+            bpm = tracker.update(beat)
+            if bpm is not None:
+                estimates.append(bpm)
     estimates = estimates[8:]  # let the averaging window fill
     assert estimates[-1] - estimates[0] > 30.0
     for previous, current in zip(estimates, estimates[1:]):
@@ -156,22 +160,20 @@ def test_detector_enforces_timestamp_order():
 
 
 def test_smoother_uniform_mean_is_exact():
-    assert gsr_smooth(GsrWindow([10.0] * 8, 0)) == 10.0
-    assert gsr_smooth(GsrWindow([0.0] * 4 + [8.0] * 4, 1)) == 4.0
-    assert gsr_smooth(GsrWindow([8.0] * 8, 2)) == 8.0
+    assert smoothed([10.0] * 8) == 10.0
+    assert smoothed([0.0] * 4 + [8.0] * 4) == 4.0
+    assert smoothed([8.0] * 8) == 8.0
 
 
-def test_smoother_explicit_kernel():
-    window = GsrWindow([1.0, 2.0, 3.0, 4.0], 0)
-    assert gsr_smooth(window, [0.25] * 4) == pytest.approx(2.5)
-    assert gsr_smooth(window, [1.0, 0.0, 0.0, 0.0]) == 1.0
-    with pytest.raises(ValueError):
-        gsr_smooth(window, [0.5, 0.5])
+def test_smoother_window_size_sets_the_span():
+    collector = GsrCollector(size=4)
+    for i, value in enumerate([100.0, 1.0, 2.0, 3.0, 4.0]):
+        collector.add(PhysioSample(i * 100.0, Channel.GSR, value))
+    assert collector.smoothed() == 2.5  # the oldest sample has left the window
 
 
 def test_smoother_rejects_empty_window():
-    with pytest.raises(ValueError):
-        gsr_smooth(GsrWindow([], 0))
+    assert GsrCollector().smoothed() is None
 
 
 @given(
@@ -182,8 +184,8 @@ def test_smoother_rejects_empty_window():
 def test_smoother_is_linear(xs, ys, a):
     # mean(a*x + y) must equal a*mean(x) + mean(y) up to float error
     combined = [a * x + y for x, y in zip(xs, ys)]
-    left = gsr_smooth(GsrWindow(combined, 0))
-    right = a * gsr_smooth(GsrWindow(xs, 0)) + gsr_smooth(GsrWindow(ys, 0))
+    left = smoothed(combined)
+    right = a * smoothed(xs) + smoothed(ys)
     assert left == pytest.approx(right, abs=1e-6)
 
 
@@ -191,20 +193,17 @@ def test_collector_keeps_last_eight():
     collector = GsrCollector()
     for i in range(10):
         collector.add(PhysioSample(i * 100.0, Channel.GSR, float(i)))
-    window = collector.window_at(beat_index=4)
-    assert window is not None
-    assert window.samples == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-    assert window.anchored_beat == 4
+    assert collector.smoothed() == sum([2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]) / 8
 
 
 def test_collector_warmup_and_order():
     collector = GsrCollector(size=3)
-    assert collector.window_at(0) is None
+    assert collector.smoothed() is None
     collector.add(PhysioSample(0.0, Channel.GSR, 1.0))
-    assert not collector.is_warm
     collector.add(PhysioSample(100.0, Channel.GSR, 2.0))
+    assert collector.smoothed() is None  # not warm until three samples
     collector.add(PhysioSample(200.0, Channel.GSR, 3.0))
-    assert collector.is_warm
+    assert collector.smoothed() == 2.0
     with pytest.raises(SampleOrderError):
         collector.add(PhysioSample(200.0, Channel.GSR, 4.0))
     with pytest.raises(ValueError):
@@ -266,6 +265,15 @@ def test_trace_rejects_unknown_channel(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("timestamp_ms,channel,value\n0,EKG,1.0\n")
     with pytest.raises(ValueError, match="channel"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", ["{},PPG,1.0", "0,PPG,{}"], ids=["timestamp", "value"])
+def test_trace_rejects_non_finite_fields(tmp_path, token, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("timestamp_ms,channel,value\n0,GSR,1.0\n" + row.format(token) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-finite"):
         load_trace(path)
 
 

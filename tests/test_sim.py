@@ -4,16 +4,14 @@ import pytest
 
 from biofsm.classifier import ArousalClass
 from biofsm.fsm import BenchState
-from biofsm.protocol import InputSymbol
+from biofsm.protocol import CLASS_SYMBOLS, InputSymbol
 from biofsm.sim import (
     ScriptError,
     TraceRecord,
     evaluate_table3,
-    format_script,
     load_script,
     load_table3,
     parse_script,
-    replay_end_to_end,
     replay_script,
     run_simulation,
     serialize_trace,
@@ -36,7 +34,7 @@ def test_parse_script_reports_the_offending_line():
 def test_script_file_roundtrip(tmp_path):
     path = tmp_path / "script.txt"
     symbols = [A, ABSENT, X, C]
-    path.write_text(format_script(symbols))
+    path.write_text("".join(f"{s.value}\n" for s in symbols))
     assert load_script(path) == symbols
 
 
@@ -71,8 +69,9 @@ def test_empty_script_is_a_noop():
 
 
 def test_initial_state_is_configurable():
-    steps = run_simulation([ABSENT], initial_state=BenchState.HIGH)
-    assert steps[0].state is BenchState.HIGH
+    # Every run starts in NORMAL; a C prefix puts the machine in HIGH.
+    steps = run_simulation([C, ABSENT])
+    assert [s.state for s in steps] == [BenchState.HIGH, BenchState.HIGH]
 
 
 def test_trace_serialization_is_stable_and_exact():
@@ -197,7 +196,7 @@ def test_wire_outage_browns_out_and_recovers():
 
 def test_end_to_end_fixture_replay():
     records = load_table3()[:16]
-    wire = replay_end_to_end(records, tick_ms=30.0)
+    wire = replay_script([CLASS_SYMBOLS[r.predicted] for r in records], tick_ms=30.0)
     expected = {
         ArousalClass.NORMAL: BenchState.NORMAL,
         ArousalClass.MILD: BenchState.MILD,
