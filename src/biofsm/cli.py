@@ -237,6 +237,7 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
             time.sleep(3.0 * config.tick_ms / 1000.0)
             stop.set()
             benchtop_thread.join(timeout=5.0)
+            receiver.close()
     sent = sum(1 for e in emissions if e.byte_sent is not None)
     print(f"wearable: {len(emissions)} windows closed, {sent} bytes sent")
     return 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -130,13 +132,15 @@ def run_benchtop(
 ) -> list[SimStep]:
     """Tick the actuation machine against live datagrams until stopped.
 
-    Each tick waits `tick_ms` for input; silence is an ABSENT tick. Stops
-    after `max_ticks` if given, when `should_stop` turns true at a tick
-    boundary, or on Ctrl-C. Every tick appends one JSON line to the log,
-    matching the simulator's trace format.
+    The schedule is fixed-rate: tick k ends at t0 + (k+1)·tick_ms, where t0
+    is when ticking starts; a late tick polls for 0 s and the loop catches
+    up. A tick with nothing received is an ABSENT tick, so silence counts
+    in ticks of wall time. Stops after `max_ticks` if given, when
+    `should_stop` turns true at a tick boundary, or on Ctrl-C. Every tick
+    appends one JSON line to the log, matching the simulator's trace format.
     """
-    if tick_ms <= 0:
-        raise ValueError("tick_ms must be positive")
+    if not (math.isfinite(tick_ms) and tick_ms > 0):
+        raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
     steps: list[SimStep] = []
     log_file = _open_log(log_path)
     own_receiver = receiver is None
@@ -171,12 +175,15 @@ def _received(
     max_ticks: int | None,
     should_stop: Callable[[], bool] | None,
 ) -> Iterator[InputSymbol]:
-    """One symbol per tick off the wire until `max_ticks`, `should_stop` or Ctrl-C."""
-    for _ in itertools.count() if max_ticks is None else range(max_ticks):
+    """One symbol per tick until `max_ticks`, `should_stop` or Ctrl-C; tick k polls until t0 + (k+1)·tick."""
+    tick_s = tick_ms / 1000.0
+    t0 = time.monotonic()
+    for k in itertools.count() if max_ticks is None else range(max_ticks):
         if should_stop is not None and should_stop():
             return
+        deadline = t0 + (k + 1) * tick_s
         try:
-            received = receiver.poll_receive(tick_ms / 1000.0)
+            received = receiver.poll_receive(max(0.0, deadline - time.monotonic()))
         except KeyboardInterrupt:
             log.info("benchtop interrupted, stopping")
             return

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from biofsm.cli import ConfigError, NodeConfig, main, resolve_log_path
+from biofsm.fsm import DEFAULT_BROWNOUT_TICKS
+from biofsm.protocol import InputSymbol
+from biofsm.sim import run_simulation, serialize_trace
 
 
 def free_udp_port():
@@ -19,6 +22,12 @@ def free_udp_port():
 
 def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def assert_simulator_agrees(path, brownout_ticks=DEFAULT_BROWNOUT_TICKS):
+    """A live benchtop log is byte for byte the simulator's trace of the inputs it logged."""
+    inputs = [InputSymbol(record["input"]) for record in read_jsonl(path)]
+    assert Path(path).read_text() == serialize_trace(run_simulation(inputs, brownout_ticks))
 
 
 def test_config_roundtrip(tmp_path):
@@ -233,6 +242,7 @@ def test_benchtop_ticks_and_browns_out(tmp_path):
     assert any(r["input"] == "C" and r["state"] == "HIGH" for r in records)
     assert records[-1]["state"] == "BROWNOUT"
     assert records[-1]["color"] == [255, 0, 255]
+    assert_simulator_agrees(log, brownout_ticks=4)
 
 
 def test_benchtop_flags_garbage_input(tmp_path):
@@ -261,6 +271,7 @@ def test_benchtop_flags_garbage_input(tmp_path):
     assert done["code"] == 0
     records = read_jsonl(log)
     assert any(r["input"] == "X" and r["state"] == "INVALID" for r in records)
+    assert_simulator_agrees(log)
 
 
 def test_log_dir_env_is_honored(tmp_path, monkeypatch):
@@ -293,6 +304,7 @@ def test_duplex_runs_both_nodes_in_one_process(tmp_path, monkeypatch):
     benchtop_log = read_jsonl(tmp_path / "benchtop.jsonl")
     assert all(r["byte_sent"] == "B" for r in wearable_log)
     assert any(r["input"] == "B" and r["state"] == "MILD" for r in benchtop_log)
+    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
 
 
 @pytest.mark.slow
@@ -337,3 +349,4 @@ def test_two_processes_over_real_sockets(tmp_path):
     records = read_jsonl(log)
     assert len(records) == 40
     assert any(r["input"] == "B" and r["state"] == "MILD" for r in records)
+    assert_simulator_agrees(log)
