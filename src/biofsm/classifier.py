@@ -10,6 +10,7 @@ than clamped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -193,15 +194,20 @@ class FeatureExtractor:
 
     Heart rate comes from the latest inter-beat gap, skin conductance from
     the smoothing window's mean at the beat. Frames start once the first gap
-    exists and the GSR window has filled.
+    exists and the GSR window has filled. A sample whose value or timestamp
+    is not finite is skipped and counted in `non_finite`.
     """
 
     def __init__(self, detector_config: DetectorConfig | None = None):
         self.detector = BeatDetector(detector_config)
         self.tracker = HeartRateTracker()
         self.collector = GsrCollector()
+        self.non_finite = 0
 
     def add(self, sample: PhysioSample) -> FeatureFrame | None:
+        if not (math.isfinite(sample.value) and math.isfinite(sample.timestamp_ms)):
+            self.non_finite += 1
+            return None
         if sample.channel is Channel.GSR:
             self.collector.add(sample)
             return None

@@ -88,6 +88,9 @@ def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, Actuatio
         state = runtime.state if runtime.state is BenchState.BROWNOUT else BenchState.INVALID
     else:
         state = _TARGETS[symbol]
+    if state is runtime.state and silence == runtime.silence_ticks:
+        # Frozen and validated when built, so an unchanged configuration is reused.
+        return runtime, ACTUATION[state]
     return FsmRuntime(state, silence, runtime.brownout_ticks), ACTUATION[state]
 
 

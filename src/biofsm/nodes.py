@@ -67,8 +67,9 @@ def run_wearable(
 
     Windows that close without a usable decision are logged but nothing is
     sent; the benchtop's silence handling covers that case. A send that
-    fails is logged and recorded with no byte sent. An empty stream emits
-    nothing and returns cleanly.
+    fails is logged and recorded with no byte sent. Samples with a non-finite
+    value or timestamp are skipped, and their count is logged once at the
+    end. An empty stream emits nothing and returns cleanly.
     """
     ladder = ladder or LadderConfig()
     extractor = FeatureExtractor(detector)
@@ -89,6 +90,8 @@ def run_wearable(
                 if frame is not None:
                     handle(accumulator.add(frame))
             handle(accumulator.flush())
+        if extractor.non_finite:
+            log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
     finally:
         if log_file is not None:
             log_file.close()
@@ -137,7 +140,7 @@ def run_benchtop(
     up. A tick with nothing received is an ABSENT tick, so silence counts
     in ticks of wall time. Stops after `max_ticks` if given, when
     `should_stop` turns true at a tick boundary, or on Ctrl-C. Every tick
-    appends one JSON line to the log, matching the simulator's trace format.
+    appends its `SimStep.line()` to the log, the simulator's trace line.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
@@ -152,7 +155,7 @@ def run_benchtop(
         for step in iter_steps(received, brownout_ticks):
             steps.append(step)
             if log_file is not None:
-                log_file.write(json.dumps(step.record()) + "\n")
+                log_file.write(step.line())
             log.info(
                 "tick %d: input %s -> %s color=%s tone=%s",
                 step.tick,

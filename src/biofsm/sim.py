@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .classifier import ArousalClass
 from .fsm import (
+    ACTUATION,
     DEFAULT_BROWNOUT_TICKS,
     ActuationCommand,
     BenchState,
@@ -63,31 +64,40 @@ def load_script(path: str | Path) -> list[InputSymbol]:
         raise ScriptError(f"{path}: {exc}") from None
 
 
+# A trace line after its tick number depends only on (input, state), so each
+# of the 25 tails is rendered once, here.
+_TAILS = {
+    (symbol, state): json.dumps(
+        {"input": symbol.value, "state": state.value, "color": list(command.color), "tone": command.tone.value}
+    )[1:] + "\n"
+    for state, command in ACTUATION.items()
+    for symbol in InputSymbol
+}
+
+
 @dataclass
 class SimStep:
-    """One simulated tick: the input consumed and the resulting actuation."""
+    """One simulated tick: the input consumed and the resulting state."""
 
     tick: int
     input: InputSymbol
     state: BenchState
-    command: ActuationCommand
 
-    def record(self) -> dict:
-        return {
-            "tick": self.tick,
-            "input": self.input.value,
-            "state": self.state.value,
-            "color": list(self.command.color),
-            "tone": self.command.tone.value,
-        }
+    @property
+    def command(self) -> ActuationCommand:
+        return ACTUATION[self.state]
+
+    def line(self) -> str:
+        """This step's trace line: one JSON object, stable key order, LF ending."""
+        return f'{{"tick": {self.tick}, {_TAILS[self.input, self.state]}'
 
 
 def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[SimStep]:
     """The tick loop every caller shares: one step per symbol, from NORMAL."""
     runtime = FsmRuntime(brownout_ticks=brownout_ticks)
     for index, symbol in enumerate(symbols):
-        runtime, command = tick(runtime, symbol)
-        yield SimStep(index, symbol, runtime.state, command)
+        runtime, _ = tick(runtime, symbol)
+        yield SimStep(index, symbol, runtime.state)
 
 
 def run_simulation(
@@ -100,7 +110,7 @@ def run_simulation(
 
 def serialize_trace(steps: Iterable[SimStep]) -> str:
     """Render steps as JSON lines. Stable key order, LF endings."""
-    return "".join(json.dumps(step.record(), separators=(", ", ": ")) + "\n" for step in steps)
+    return "".join(step.line() for step in steps)
 
 
 def replay_script(

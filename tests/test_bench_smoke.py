@@ -1,0 +1,29 @@
+"""The benchmark runs and reports the metrics BENCHMARK.json declares.
+
+One short, tiny `script` run in a subprocess. It asserts the result line's
+shape and correctness, never a timing, so host noise cannot fail it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_script_workload_reports_the_declared_metrics():
+    completed = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "script", "--seed", "1", "--seconds", "0.2", "--tiny"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    result = json.loads(completed.stdout.splitlines()[-1])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    assert {name: m["unit"] for name, m in result["metrics"].items()} == declared
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -1,13 +1,16 @@
 import itertools
 import logging
+import math
+from dataclasses import replace
 
 import pytest
 
 from biofsm import nodes
+from biofsm.classifier import FeatureExtractor
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS, BenchState
 from biofsm.nodes import run_benchtop, run_wearable
 from biofsm.protocol import EndpointConfig
-from biofsm.signals import SignalProfile, synth_physio
+from biofsm.signals import Channel, SignalProfile, synth_physio
 
 
 def test_failed_sends_are_recorded_as_not_sent(caplog):
@@ -19,6 +22,46 @@ def test_failed_sends_are_recorded_as_not_sent(caplog):
     assert all(e.frames_used > 0 for e in emissions)
     assert [e.byte_sent for e in emissions] == [None, None, None]
     assert sum("send failed" in r.getMessage() for r in caplog.records) == 3
+
+
+def session(channel=None, field="value", bad=None):
+    """60 s at 70 BPM and 17.5 uS; with `channel`, its sample at t = 2000 ms gets `field` set to `bad`."""
+    for sample in synth_physio(SignalProfile(bpm_start=70.0, gsr_start_us=17.5), 60_000, seed=1):
+        if sample.channel is channel and sample.timestamp_ms == 2000.0:
+            sample = replace(sample, **{field: bad})
+        yield sample
+
+
+def test_a_non_finite_ppg_sample_does_not_end_classification(caplog):
+    caplog.set_level(logging.WARNING, logger="biofsm")
+    clean = run_wearable(session(), endpoint=EndpointConfig(port=0))
+    assert [e.frames_used for e in clean] == [17, 17, 18, 17]
+    assert not any("non-finite" in r.getMessage() for r in caplog.records)
+    poisoned = run_wearable(session(Channel.PPG, "value", math.nan), endpoint=EndpointConfig(port=0))
+    assert [e.record() for e in poisoned] == [e.record() for e in clean]
+    warnings = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
+    assert warnings == ["skipped 1 samples with a non-finite value or timestamp"]
+
+
+@pytest.mark.parametrize(
+    "channel, field, bad",
+    [
+        (Channel.PPG, "value", math.nan),
+        (Channel.GSR, "value", math.nan),
+        (Channel.PPG, "value", math.inf),
+        (Channel.GSR, "value", -math.inf),
+        (Channel.PPG, "timestamp_ms", math.nan),
+        (Channel.GSR, "timestamp_ms", math.inf),
+    ],
+)
+def test_extractor_skips_and_counts_non_finite_samples(channel, field, bad):
+    def frames(samples):
+        extractor = FeatureExtractor()
+        return [f for f in map(extractor.add, samples) if f is not None], extractor.non_finite
+
+    clean, clean_count = frames(session())
+    assert clean_count == 0
+    assert frames(session(channel, field, bad)) == (clean, 1)
 
 
 @pytest.mark.parametrize("tick_ms", [float("nan"), float("inf"), 0.0, -1.0])

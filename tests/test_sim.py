@@ -1,12 +1,15 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biofsm.classifier import ArousalClass
-from biofsm.fsm import BenchState
+from biofsm.fsm import ACTUATION, BenchState, FsmRuntime, tick, verify_determinism
 from biofsm.protocol import CLASS_SYMBOLS, InputSymbol
 from biofsm.sim import (
     ScriptError,
+    SimStep,
     TraceRecord,
     evaluate_table3,
     load_script,
@@ -82,6 +85,53 @@ def test_trace_serialization_is_stable_and_exact():
     )
     assert serialize_trace(steps) == expected
     assert serialize_trace(run_simulation([A, X])) == expected
+
+
+def reference_line(step):
+    """The reference trace line: `json.dumps` of the step's full record."""
+    command = ACTUATION[step.state]
+    record = {
+        "tick": step.tick,
+        "input": step.input.value,
+        "state": step.state.value,
+        "color": list(command.color),
+        "tone": command.tone.value,
+    }
+    return json.dumps(record) + "\n"
+
+
+@pytest.mark.parametrize("tick_index", [0, 9, 10, 123456])
+def test_every_trace_line_equals_its_reference(tick_index):
+    for symbol, state in itertools.product(InputSymbol, BenchState):
+        step = SimStep(tick_index, symbol, state)
+        assert step.line() == reference_line(step)
+        assert step.command is ACTUATION[step.state]
+
+
+def model_successor(state, silence, symbol, brownout_ticks):
+    """The machine's rule written out plainly: (state, silence) after one tick."""
+    if symbol is ABSENT:
+        silence = min(silence + 1, brownout_ticks)
+        return (BenchState.BROWNOUT if silence == brownout_ticks else state), silence
+    if symbol is X:
+        return (state if state is BenchState.BROWNOUT else BenchState.INVALID), 0
+    return {A: BenchState.NORMAL, B: BenchState.MILD, C: BenchState.HIGH}[symbol], 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(list(InputSymbol)), max_size=200), st.integers(1, 12))
+def test_any_script_traces_like_the_reference(script, brownout_ticks):
+    steps = run_simulation(script, brownout_ticks)
+    assert serialize_trace(steps) == "".join(reference_line(step) for step in steps)
+    runtime = FsmRuntime(brownout_ticks=brownout_ticks)
+    for symbol in script:
+        expected = FsmRuntime(
+            *model_successor(runtime.state, runtime.silence_ticks, symbol, brownout_ticks), brownout_ticks
+        )
+        runtime, command = tick(runtime, symbol)
+        assert runtime == expected
+        assert command is ACTUATION[runtime.state]
+    assert verify_determinism(brownout_ticks).deterministic
 
 
 def test_trace_lines_parse_back_as_json():
