@@ -32,7 +32,7 @@ class SampleOrderError(ValueError):
     """Raised when per-channel timestamps do not strictly increase."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysioSample:
     """One timestamped raw sensor reading.
 
@@ -94,49 +94,47 @@ class BeatDetector:
         self.beat_count: int = 0
         self._armed: bool = True
 
-    @property
-    def threshold(self) -> float:
-        return max(self.config.threshold_fraction * self.envelope, self.config.min_threshold)
-
     def step(self, sample: PhysioSample) -> BeatEvent | None:
         """Consume one PPG sample, returning a BeatEvent on an accepted crossing."""
         if sample.channel is not Channel.PPG:
             raise ValueError(f"beat detector expects PPG samples, got {sample.channel}")
-        if self.last_timestamp_ms is not None and sample.timestamp_ms <= self.last_timestamp_ms:
-            raise SampleOrderError(
-                f"PPG timestamp {sample.timestamp_ms} not after {self.last_timestamp_ms}"
-            )
-        self.last_timestamp_ms = sample.timestamp_ms
+        timestamp = sample.timestamp_ms
+        last_timestamp = self.last_timestamp_ms
+        if last_timestamp is not None and timestamp <= last_timestamp:
+            raise SampleOrderError(f"PPG timestamp {timestamp} not after {last_timestamp}")
+        self.last_timestamp_ms = timestamp
 
         cfg = self.config
-        if self.dc_estimate is None:
-            self.dc_estimate = sample.value
-        else:
-            self.dc_estimate = cfg.dc_coefficient * self.dc_estimate + (1.0 - cfg.dc_coefficient) * sample.value
-        self.ac_value = sample.value - self.dc_estimate
+        value = sample.value
+        dc = self.dc_estimate
+        dc = value if dc is None else cfg.dc_coefficient * dc + (1.0 - cfg.dc_coefficient) * value
+        self.dc_estimate = dc
+        self.ac_value = ac = value - dc
 
         # Threshold uses the envelope from past samples only, otherwise the
         # envelope would chase the current sample and the threshold could
-        # never be exceeded by less than a factor of two.
-        threshold = self.threshold
+        # never be exceeded by less than a factor of two. Like `max(a, b)`,
+        # each comparison below takes b only when b > a, so ties and NaN
+        # keep a.
+        envelope = self.envelope
+        threshold = cfg.threshold_fraction * envelope
+        if cfg.min_threshold > threshold:
+            threshold = cfg.min_threshold
 
         beat: BeatEvent | None = None
-        if self._armed and self.ac_value >= threshold:
+        if self._armed and ac >= threshold:
             self._armed = False
-            if (
-                self.last_crossing_ms is None
-                or sample.timestamp_ms - self.last_crossing_ms >= cfg.refractory_ms
-            ):
-                interval = None
-                if self.last_crossing_ms is not None:
-                    interval = sample.timestamp_ms - self.last_crossing_ms
-                beat = BeatEvent(self.beat_count, sample.timestamp_ms, interval)
+            last_crossing = self.last_crossing_ms
+            if last_crossing is None or timestamp - last_crossing >= cfg.refractory_ms:
+                interval = None if last_crossing is None else timestamp - last_crossing
+                beat = BeatEvent(self.beat_count, timestamp, interval)
                 self.beat_count += 1
-                self.last_crossing_ms = sample.timestamp_ms
-        elif not self._armed and self.ac_value < cfg.rearm_level:
+                self.last_crossing_ms = timestamp
+        elif not self._armed and ac < cfg.rearm_level:
             self._armed = True
 
-        self.envelope = max(self.envelope * cfg.envelope_decay, self.ac_value)
+        envelope *= cfg.envelope_decay
+        self.envelope = ac if ac > envelope else envelope
         return beat
 
 
@@ -229,12 +227,11 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
     frequency follows the BPM trajectory, riding on a configurable DC offset
     and drift; the GSR stream tracks its level trajectory.
     """
-    if duration_ms <= 0:
-        raise ValueError("duration_ms must be positive")
-    if profile.ppg_rate_hz <= 0 or profile.gsr_rate_hz <= 0:
-        raise ValueError("sample rates must be positive")
-    if profile.bpm_start <= 0 or (profile.bpm_end is not None and profile.bpm_end <= 0):
-        raise ValueError("BPM trajectory must stay positive")
+    positive = {"duration_ms": duration_ms, "ppg_rate_hz": profile.ppg_rate_hz,
+                "gsr_rate_hz": profile.gsr_rate_hz, "bpm_start": profile.bpm_start, "bpm_end": profile.bpm_end}
+    for name, x in positive.items():
+        if x is not None and not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
     rng_ppg = random.Random(f"{seed}/ppg")
     rng_gsr = random.Random(f"{seed}/gsr")
@@ -270,6 +267,7 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
 
 
 TRACE_HEADER = ["timestamp_ms", "channel", "value"]
+_CHANNELS = {c.value: c for c in Channel}
 
 
 def load_trace(path: str | Path) -> list[PhysioSample]:
@@ -290,10 +288,9 @@ def load_trace(path: str | Path) -> list[PhysioSample]:
                 continue
             if len(row) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                channel = Channel(row[1])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: unknown channel {row[1]!r}") from None
+            channel = _CHANNELS.get(row[1])
+            if channel is None:
+                raise ValueError(f"{path}: line {lineno}: unknown channel {row[1]!r}")
             try:
                 timestamp = float(row[0])
                 value = float(row[2])

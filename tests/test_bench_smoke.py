@@ -1,7 +1,9 @@
 """The benchmark runs and reports the metrics BENCHMARK.json declares.
 
-One short, tiny `script` run in a subprocess. It asserts the result line's
-shape and correctness, never a timing, so host noise cannot fail it.
+Short, tiny `script` and `replay` runs, each in a subprocess. They assert
+the result line's shape and correctness, never a timing, so host noise
+cannot fail them. The `replay` run covers `load_trace`, `run_wearable` and
+the sink's in-order check of every emitted byte.
 """
 
 import json
@@ -12,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_script_workload_reports_the_declared_metrics():
+def assert_reports_the_declared_metrics(workload):
     completed = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "script", "--seed", "1", "--seconds", "0.2", "--tiny"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.2", "--tiny"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -27,3 +29,11 @@ def test_script_workload_reports_the_declared_metrics():
     assert {name: m["unit"] for name, m in result["metrics"].items()} == declared
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_script_workload_reports_the_declared_metrics():
+    assert_reports_the_declared_metrics("script")
+
+
+def test_replay_workload_reports_the_declared_metrics():
+    assert_reports_the_declared_metrics("replay")

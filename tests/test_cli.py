@@ -194,6 +194,12 @@ def test_wearable_empty_trace_sends_nothing(tmp_path, capsys):
     assert "0 windows closed, 0 bytes sent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_wearable_rejects_a_non_finite_duration(duration, capsys):
+    assert main(["wearable", "--duration-s", duration, "--port", str(free_udp_port())]) == 2
+    assert capsys.readouterr().err == f"error: duration_ms must be finite and positive, got {duration}\n"
+
+
 def test_wearable_trace_replay(tmp_path):
     # record a synthetic run, then replay the file; same decisions
     from biofsm.signals import SignalProfile, save_trace, synth_physio

@@ -1,8 +1,10 @@
+import itertools
 import math
+import struct
 from statistics import median
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from biofsm.signals import (
     BeatDetector,
@@ -147,6 +149,99 @@ def test_ramp_estimates_rise_monotonically():
         assert current >= previous - 2.0
 
 
+class ReferenceDetector:
+    """`BeatDetector.step` as it read before it was inlined: a `threshold`
+    property and two `max` calls, kept as the reference."""
+
+    def __init__(self, config):
+        self.config = config
+        self.dc_estimate = None
+        self.ac_value = 0.0
+        self.envelope = 0.0
+        self.last_crossing_ms = None
+        self.last_timestamp_ms = None
+        self.beat_count = 0
+        self._armed = True
+
+    @property
+    def threshold(self):
+        return max(self.config.threshold_fraction * self.envelope, self.config.min_threshold)
+
+    def step(self, sample):
+        self.last_timestamp_ms = sample.timestamp_ms
+        cfg = self.config
+        if self.dc_estimate is None:
+            self.dc_estimate = sample.value
+        else:
+            self.dc_estimate = cfg.dc_coefficient * self.dc_estimate + (1.0 - cfg.dc_coefficient) * sample.value
+        self.ac_value = sample.value - self.dc_estimate
+        threshold = self.threshold
+        beat = None
+        if self._armed and self.ac_value >= threshold:
+            self._armed = False
+            if (
+                self.last_crossing_ms is None
+                or sample.timestamp_ms - self.last_crossing_ms >= cfg.refractory_ms
+            ):
+                interval = None
+                if self.last_crossing_ms is not None:
+                    interval = sample.timestamp_ms - self.last_crossing_ms
+                beat = BeatEvent(self.beat_count, sample.timestamp_ms, interval)
+                self.beat_count += 1
+                self.last_crossing_ms = sample.timestamp_ms
+        elif not self._armed and self.ac_value < cfg.rearm_level:
+            self._armed = True
+        self.envelope = max(self.envelope * cfg.envelope_decay, self.ac_value)
+        return beat
+
+
+def bits(x):
+    """A float by its bit pattern, so -0.0 differs from 0.0 and NaN equals itself."""
+    return struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def detector_state(detector):
+    names = ("dc_estimate", "ac_value", "envelope", "beat_count", "last_crossing_ms", "last_timestamp_ms", "_armed")
+    return {name: bits(getattr(detector, name)) for name in names}
+
+
+def event_bits(event):
+    return None if event is None else (event.beat_index, bits(event.timestamp_ms), bits(event.inter_beat_interval_ms))
+
+
+# A small pool of exact values makes repeats, zeros of both signs and ties
+# with `min_threshold` and the decayed envelope common; large finite floats
+# can still overflow `ac` to infinity.
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0, -1.0, 1e-6])
+DETECTOR_CONFIGS = st.builds(
+    DetectorConfig,
+    dc_coefficient=st.sampled_from([0.95, 0.5, 1.0, 0.0]),
+    threshold_fraction=st.sampled_from([0.5, 1.0]),
+    envelope_decay=st.sampled_from([0.995, 0.5, 1.0]),
+    min_threshold=st.sampled_from([1e-6, 0.5, 1.0]),
+    refractory_ms=st.sampled_from([300.0, 40.0, 0.0]),
+    rearm_level=st.sampled_from([0.0, -1.0, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    DETECTOR_CONFIGS,
+    st.integers(0, 1000),
+    st.lists(
+        st.tuples(st.integers(1, 400), st.one_of(TIE_VALUES, st.floats(allow_nan=False, allow_infinity=False))),
+        max_size=120,
+    ),
+)
+def test_detector_steps_like_the_reference(config, start_ms, steps):
+    detector, reference = BeatDetector(config), ReferenceDetector(config)
+    timestamps = itertools.accumulate((gap for gap, _ in steps), initial=start_ms)
+    for timestamp, (_, value) in zip(timestamps, steps):
+        sample = PhysioSample(float(timestamp), Channel.PPG, value)
+        assert event_bits(detector.step(sample)) == event_bits(reference.step(sample))
+    assert detector_state(detector) == detector_state(reference)
+
+
 def test_detector_rejects_gsr_samples():
     with pytest.raises(ValueError):
         BeatDetector().step(PhysioSample(0.0, Channel.GSR, 5.0))
@@ -247,6 +342,16 @@ def test_synthesis_rejects_bad_parameters():
         list(synth_physio(SignalProfile(bpm_start=0.0), 1000, seed=0))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["duration_ms", "ppg_rate_hz", "gsr_rate_hz", "bpm_start", "bpm_end"])
+def test_synthesis_rejects_non_finite_parameters(field, token):
+    bad = float(token)
+    duration_ms = bad if field == "duration_ms" else 1000.0
+    profile = SignalProfile() if field == "duration_ms" else SignalProfile(**{field: bad})
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got {token}$"):
+        list(synth_physio(profile, duration_ms, seed=0))
+
+
 def test_trace_roundtrip(tmp_path):
     samples = list(synth_physio(SignalProfile(ppg_noise=2.0), 3_000, seed=9))
     path = tmp_path / "trace.csv"
@@ -284,3 +389,37 @@ def test_trace_rejects_backwards_timestamps(tmp_path):
     )
     with pytest.raises(SampleOrderError):
         load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "row,error,message",
+    [
+        ("0,PPG", ValueError, "expected 3 fields, got 2"),
+        ("0,PPG,1.0,2.0", ValueError, "expected 3 fields, got 4"),
+        ("x,PPG,1.0", ValueError, "non-numeric field"),
+        ("0,PPG,one", ValueError, "non-numeric field"),
+        ("-1,PPG,1.0", SampleOrderError, "negative timestamp"),
+        ("0,EKG,1.0", ValueError, "unknown channel 'EKG'"),
+        ("0,ppg,1.0", ValueError, "unknown channel 'ppg'"),
+        ("0,PPG ,1.0", ValueError, "unknown channel 'PPG '"),
+        ("5,GSR,1.0", SampleOrderError, "GSR timestamp 5.0 not after 5.0"),
+    ],
+)
+def test_trace_rejection_names_the_file_and_line(tmp_path, row, error, message):
+    # Line 3 is blank: it is skipped, but still counted in the line numbers.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"timestamp_ms,channel,value\n5,GSR,1.0\n\n{row}\n")
+    with pytest.raises(error) as excinfo:
+        load_trace(path)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{path}: line 4: {message}"
+
+
+def test_trace_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("timestamp_ms,channel,value\n\n0,PPG,1.5\n\n\n20,PPG,2.5\n10,GSR,4.0\n\n")
+    assert load_trace(path) == [
+        PhysioSample(0.0, Channel.PPG, 1.5),
+        PhysioSample(20.0, Channel.PPG, 2.5),
+        PhysioSample(10.0, Channel.GSR, 4.0),
+    ]
