@@ -23,6 +23,8 @@ from .signals import (
     PhysioSample,
 )
 
+_GSR = Channel.GSR  # bound once for the per-sample loop, as in signals
+
 
 class ArousalClass(IntEnum):
     NORMAL = 0
@@ -208,7 +210,7 @@ class FeatureExtractor:
         if not (math.isfinite(sample.value) and math.isfinite(sample.timestamp_ms)):
             self.non_finite += 1
             return None
-        if sample.channel is Channel.GSR:
+        if sample.channel is _GSR:
             self.collector.add(sample)
             return None
         beat = self.detector.step(sample)

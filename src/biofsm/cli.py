@@ -210,6 +210,8 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
     benchtop_thread = None
     if args.duplex:
         receiver = UdpReceiver(EndpointConfig(bind_host="127.0.0.1", port=config.port))
+        # Port 0 binds an ephemeral port, so send to the one actually bound.
+        endpoint.port = receiver.port
         benchtop_log = resolve_log_path(None, "benchtop")
         benchtop_thread = threading.Thread(
             target=run_benchtop,

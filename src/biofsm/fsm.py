@@ -21,6 +21,8 @@ from .protocol import CLASS_SYMBOLS, InputSymbol
 
 
 class BenchState(Enum):
+    # Members are singletons and equality is identity, so this agrees with == and hashes in C.
+    __hash__ = object.__hash__
     NORMAL = "NORMAL"
     MILD = "MILD"
     HIGH = "HIGH"
@@ -56,6 +58,11 @@ ACTUATION: dict[BenchState, ActuationCommand] = {
 # A valid symbol moves to the state named after the class it carries.
 _TARGETS = {symbol: BenchState[arousal.name] for arousal, symbol in CLASS_SYMBOLS.items()}
 
+# Members the tick reads, bound once: on Python 3.11 the metaclass
+# __getattr__ hook makes `Cls.MEMBER` about 5x slower than a global read.
+_ABSENT, _UNRECOGNIZED = InputSymbol.ABSENT, InputSymbol.UNRECOGNIZED
+_BROWNOUT, _INVALID = BenchState.BROWNOUT, BenchState.INVALID
+
 DEFAULT_BROWNOUT_TICKS = 10
 
 
@@ -79,13 +86,13 @@ class FsmRuntime:
 def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, ActuationCommand]:
     """Advance the machine one tick. Pure: equal inputs give equal outputs."""
     silence = 0
-    if symbol is InputSymbol.ABSENT:
+    if symbol is _ABSENT:
         silence = min(runtime.silence_ticks + 1, runtime.brownout_ticks)
-        state = BenchState.BROWNOUT if silence >= runtime.brownout_ticks else runtime.state
-    elif symbol is InputSymbol.UNRECOGNIZED:
+        state = _BROWNOUT if silence >= runtime.brownout_ticks else runtime.state
+    elif symbol is _UNRECOGNIZED:
         # Garbage proves the link is alive, so the silence counter resets,
         # but only a valid byte may lift a brownout.
-        state = runtime.state if runtime.state is BenchState.BROWNOUT else BenchState.INVALID
+        state = runtime.state if runtime.state is _BROWNOUT else _INVALID
     else:
         state = _TARGETS[symbol]
     if state is runtime.state and silence == runtime.silence_ticks:

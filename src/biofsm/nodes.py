@@ -25,6 +25,8 @@ from .sim import SimStep, iter_steps
 
 log = logging.getLogger(__name__)
 
+_ABSENT = InputSymbol.ABSENT  # bound once for the tick loop, as in fsm
+
 
 def _open_log(path: str | Path | None) -> IO[str] | None:
     if path is None:
@@ -190,4 +192,4 @@ def _received(
         except KeyboardInterrupt:
             log.info("benchtop interrupted, stopping")
             return
-        yield InputSymbol.ABSENT if received is None else received
+        yield _ABSENT if received is None else received

@@ -24,6 +24,7 @@ DEFAULT_PORT = 8888
 
 
 class InputSymbol(Enum):
+    __hash__ = object.__hash__  # in C and agreeing with ==, as for fsm.BenchState
     VALID_A = "A"
     VALID_B = "B"
     VALID_C = "C"

@@ -28,6 +28,11 @@ class Channel(str, Enum):
     GSR = "GSR"
 
 
+# Bound once for the per-sample loops: on Python 3.11 the metaclass
+# __getattr__ hook makes `Channel.PPG` about 5x slower than a global read.
+_PPG, _GSR = Channel.PPG, Channel.GSR
+
+
 class SampleOrderError(ValueError):
     """Raised when per-channel timestamps do not strictly increase."""
 
@@ -96,7 +101,7 @@ class BeatDetector:
 
     def step(self, sample: PhysioSample) -> BeatEvent | None:
         """Consume one PPG sample, returning a BeatEvent on an accepted crossing."""
-        if sample.channel is not Channel.PPG:
+        if sample.channel is not _PPG:
             raise ValueError(f"beat detector expects PPG samples, got {sample.channel}")
         timestamp = sample.timestamp_ms
         last_timestamp = self.last_timestamp_ms
@@ -175,7 +180,7 @@ class GsrCollector:
         self._last_timestamp_ms: float | None = None
 
     def add(self, sample: PhysioSample) -> None:
-        if sample.channel is not Channel.GSR:
+        if sample.channel is not _GSR:
             raise ValueError(f"GSR collector expects GSR samples, got {sample.channel}")
         if self._last_timestamp_ms is not None and sample.timestamp_ms <= self._last_timestamp_ms:
             raise SampleOrderError(
@@ -232,6 +237,16 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
     for name, x in positive.items():
         if x is not None and not 0 < x < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {x!r}")
+    finite = {"gsr_start_us": profile.gsr_start_us, "gsr_end_us": profile.gsr_end_us,
+              "ppg_amplitude": profile.ppg_amplitude, "ppg_offset": profile.ppg_offset,
+              "ppg_drift_per_s": profile.ppg_drift_per_s, "ppg_noise": profile.ppg_noise,
+              "gsr_noise_us": profile.gsr_noise_us}
+    for name, x in finite.items():
+        if x is not None and not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+    for name in ("ppg_noise", "gsr_noise_us"):
+        if finite[name] < 0:
+            raise ValueError(f"{name} must be non-negative, got {finite[name]!r}")
 
     rng_ppg = random.Random(f"{seed}/ppg")
     rng_gsr = random.Random(f"{seed}/gsr")
@@ -255,14 +270,14 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
             )
             if profile.ppg_noise > 0:
                 value += rng_ppg.uniform(-profile.ppg_noise, profile.ppg_noise)
-            yield PhysioSample(t_ppg, Channel.PPG, value)
+            yield PhysioSample(t_ppg, _PPG, value)
             phase += 2.0 * math.pi * (bpm / 60.0) * (ppg_dt_ms / 1000.0)
             i += 1
         else:
             level = _ramp(profile.gsr_start_us, profile.gsr_end_us, t_gsr, duration_ms)
             if profile.gsr_noise_us > 0:
                 level += rng_gsr.uniform(-profile.gsr_noise_us, profile.gsr_noise_us)
-            yield PhysioSample(t_gsr, Channel.GSR, level)
+            yield PhysioSample(t_gsr, _GSR, level)
             j += 1
 
 

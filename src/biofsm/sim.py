@@ -35,6 +35,8 @@ from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSen
 # about twenty times as much per token.
 _TOKENS = {symbol.value: symbol for symbol in InputSymbol}
 
+_ABSENT = InputSymbol.ABSENT  # bound once for the replay loop, as in fsm
+
 
 class ScriptError(ValueError):
     """Raised for malformed tick scripts, with the offending line number."""
@@ -75,7 +77,7 @@ _TAILS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class SimStep:
     """One simulated tick: the input consumed and the resulting state."""
 
@@ -132,10 +134,10 @@ def replay_script(
         with UdpSender(endpoint) as sender:
             def observed() -> Iterator[InputSymbol]:
                 for index, symbol in enumerate(script):
-                    if symbol is not InputSymbol.ABSENT and index not in drop_ticks:
+                    if symbol is not _ABSENT and index not in drop_ticks:
                         sender.send_raw(PAYLOADS.get(symbol, b"?"))
                     received = receiver.poll_receive(tick_ms / 1000.0)
-                    yield InputSymbol.ABSENT if received is None else received
+                    yield _ABSENT if received is None else received
 
             return list(iter_steps(observed(), brownout_ticks))
 

@@ -1,9 +1,10 @@
 """The benchmark runs and reports the metrics BENCHMARK.json declares.
 
-Short, tiny `script` and `replay` runs, each in a subprocess. They assert
-the result line's shape and correctness, never a timing, so host noise
-cannot fail them. The `replay` run covers `load_trace`, `run_wearable` and
-the sink's in-order check of every emitted byte.
+Short, tiny `script`, `replay` and `live` runs, each in a subprocess. They
+assert the result line's shape and correctness, never a timing, so host
+noise cannot fail them. The `replay` run covers `load_trace`, `run_wearable`
+and the sink's in-order check of every emitted byte; the `live` run covers
+the sender process, UDP polling and the benchtop tick loop.
 """
 
 import json
@@ -37,3 +38,7 @@ def test_script_workload_reports_the_declared_metrics():
 
 def test_replay_workload_reports_the_declared_metrics():
     assert_reports_the_declared_metrics("replay")
+
+
+def test_live_workload_reports_the_declared_metrics():
+    assert_reports_the_declared_metrics("live")

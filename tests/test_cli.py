@@ -200,6 +200,20 @@ def test_wearable_rejects_a_non_finite_duration(duration, capsys):
     assert capsys.readouterr().err == f"error: duration_ms must be finite and positive, got {duration}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gsr", "10:nan"], "gsr_end_us must be finite, got nan"),
+        (["--gsr", "inf"], "gsr_start_us must be finite, got inf"),
+        (["--ppg-noise", "inf"], "ppg_noise must be finite, got inf"),
+        (["--gsr-noise", "-1"], "gsr_noise_us must be non-negative, got -1.0"),
+    ],
+)
+def test_wearable_rejects_bad_synthesis_parameters(flags, message, capsys):
+    assert main(["wearable", *flags, "--duration-s", "60", "--port", str(free_udp_port())]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_wearable_trace_replay(tmp_path):
     # record a synthetic run, then replay the file; same decisions
     from biofsm.signals import SignalProfile, save_trace, synth_physio
@@ -310,6 +324,19 @@ def test_duplex_runs_both_nodes_in_one_process(tmp_path, monkeypatch):
     benchtop_log = read_jsonl(tmp_path / "benchtop.jsonl")
     assert all(r["byte_sent"] == "B" for r in wearable_log)
     assert any(r["input"] == "B" and r["state"] == "MILD" for r in benchtop_log)
+    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
+
+
+def test_duplex_on_port_0_sends_to_the_bound_port(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    assert main(["wearable", "--duplex", "--port", "0", "--seed", "7", "--duration-s", "30"]) == 0
+    wearable_log = read_jsonl(tmp_path / "wearable.jsonl")
+    decided = sum(1 for r in wearable_log if r["arousal"] is not None)
+    assert decided > 0
+    assert [r["byte_sent"] is not None for r in wearable_log] == [r["arousal"] is not None for r in wearable_log]
+    assert capsys.readouterr().out == f"wearable: {len(wearable_log)} windows closed, {decided} bytes sent\n"
+    benchtop_log = read_jsonl(tmp_path / "benchtop.jsonl")
+    assert any(r["input"] in {"A", "B", "C"} for r in benchtop_log)
     assert_simulator_agrees(tmp_path / "benchtop.jsonl")
 
 

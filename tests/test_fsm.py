@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 
 import pytest
@@ -13,7 +15,8 @@ from biofsm.fsm import (
     tick,
     verify_determinism,
 )
-from biofsm.protocol import InputSymbol
+from biofsm import fsm, sim
+from biofsm.protocol import PAYLOADS, InputSymbol
 
 VALID = (InputSymbol.VALID_A, InputSymbol.VALID_B, InputSymbol.VALID_C)
 TARGETS = {
@@ -187,3 +190,27 @@ def test_any_script_replays_identically(script):
     for symbol, (runtime, _) in zip(script, first):
         if symbol in VALID:
             assert runtime.state is TARGETS[symbol]
+
+
+def round_trips(member):
+    yield copy.copy(member)
+    yield copy.deepcopy(member)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(member, protocol))
+
+
+@pytest.mark.parametrize("member", [*BenchState, *InputSymbol], ids=str)
+def test_copied_and_unpickled_members_are_the_member_itself(member):
+    # Both enums hash by identity, which agrees with == only while every
+    # way of reproducing a member returns the singleton.
+    for clone in round_trips(member):
+        assert clone is member
+        if isinstance(member, BenchState):
+            assert ACTUATION[clone] is ACTUATION[member]
+            for symbol in InputSymbol:
+                assert sim._TAILS[symbol, clone] is sim._TAILS[symbol, member]
+        else:
+            assert fsm._TARGETS.get(clone) is fsm._TARGETS.get(member)
+            assert PAYLOADS.get(clone) is PAYLOADS.get(member)
+            for state in BenchState:
+                assert sim._TAILS[clone, state] is sim._TAILS[member, state]

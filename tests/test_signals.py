@@ -342,14 +342,26 @@ def test_synthesis_rejects_bad_parameters():
         list(synth_physio(SignalProfile(bpm_start=0.0), 1000, seed=0))
 
 
+POSITIVE_FIELDS = ["duration_ms", "ppg_rate_hz", "gsr_rate_hz", "bpm_start", "bpm_end"]
+FINITE_FIELDS = ["gsr_start_us", "gsr_end_us", "ppg_amplitude", "ppg_offset", "ppg_drift_per_s", "ppg_noise", "gsr_noise_us"]
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("field", ["duration_ms", "ppg_rate_hz", "gsr_rate_hz", "bpm_start", "bpm_end"])
+@pytest.mark.parametrize("field", POSITIVE_FIELDS + FINITE_FIELDS)
 def test_synthesis_rejects_non_finite_parameters(field, token):
     bad = float(token)
     duration_ms = bad if field == "duration_ms" else 1000.0
     profile = SignalProfile() if field == "duration_ms" else SignalProfile(**{field: bad})
-    with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got {token}$"):
+    must = "finite and positive" if field in POSITIVE_FIELDS else "finite"
+    with pytest.raises(ValueError, match=f"^{field} must be {must}, got {token}$"):
         list(synth_physio(profile, duration_ms, seed=0))
+
+
+@pytest.mark.parametrize("bad", [-0.5, -1e-300])
+@pytest.mark.parametrize("field", ["ppg_noise", "gsr_noise_us"])
+def test_synthesis_rejects_negative_noise(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative, got {bad!r}$"):
+        list(synth_physio(SignalProfile(**{field: bad}), 1000.0, seed=0))
 
 
 def test_trace_roundtrip(tmp_path):
