@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .classifier import LadderConfig
@@ -39,6 +39,16 @@ DEFAULT_TICK_MS = 50.0
 
 class ConfigError(ValueError):
     """Raised for malformed node config files."""
+
+
+# What each scalar config field accepts, and how an error names it. JSON
+# true/false parse as bool, an int subclass, so bool is rejected everywhere.
+_FIELD_TYPES = {
+    **dict.fromkeys(("port", "brownout_ticks", "seed"), ((int,), "an integer")),
+    **dict.fromkeys(("tick_ms", "window_ms", "duration_s", "ppg_noise", "gsr_noise"), ((int, float), "a number")),
+    "host": ((str,), "a string"),
+    **dict.fromkeys(("log", "trace_path"), ((str, type(None)), "a string or null")),
+}
 
 
 @dataclass
@@ -74,11 +84,12 @@ class NodeConfig:
             raise ConfigError(f"role must be one of {self.ROLES}, got {self.role!r}")
         if self.source not in self.SOURCES:
             raise ConfigError(f"source must be one of {self.SOURCES}, got {self.source!r}")
+        for name, (types, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         self.bpm = _as_ramp(self.bpm, "bpm")
         self.gsr = _as_ramp(self.gsr, "gsr")
-
-    def to_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NodeConfig":
@@ -105,9 +116,6 @@ class NodeConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
         return cls.from_dict(data)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 def _as_ramp(value, name: str) -> tuple[float, float | None]:

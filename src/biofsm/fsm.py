@@ -14,6 +14,7 @@ every configuration and checks that each successor is a valid one.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,21 +67,26 @@ _BROWNOUT, _INVALID = BenchState.BROWNOUT, BenchState.INVALID
 DEFAULT_BROWNOUT_TICKS = 10
 
 
-@dataclass(frozen=True)
-class FsmRuntime:
-    """Complete machine configuration between ticks."""
+class FsmRuntime(namedtuple("FsmRuntime", "state silence_ticks brownout_ticks")):
+    """Complete machine configuration between ticks; every way of building one validates it."""
 
-    state: BenchState = BenchState.NORMAL
-    silence_ticks: int = 0
-    brownout_ticks: int = DEFAULT_BROWNOUT_TICKS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.brownout_ticks < 1:
+    def __new__(
+        cls, state: BenchState = BenchState.NORMAL, silence_ticks: int = 0, brownout_ticks: int = DEFAULT_BROWNOUT_TICKS
+    ) -> FsmRuntime:
+        if brownout_ticks < 1:
             raise ValueError("brownout_ticks must be >= 1")
-        if not (0 <= self.silence_ticks <= self.brownout_ticks):
-            raise ValueError(
-                f"silence_ticks {self.silence_ticks} outside 0-{self.brownout_ticks}"
-            )
+        if not (0 <= silence_ticks <= brownout_ticks):
+            raise ValueError(f"silence_ticks {silence_ticks} outside 0-{brownout_ticks}")
+        return tuple.__new__(cls, (state, silence_ticks, brownout_ticks))
+
+    @classmethod
+    def _make(cls, iterable) -> FsmRuntime:
+        return cls(*iterable)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would otherwise bypass __new__'s checks
+        return type(self), tuple(self)
 
 
 def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, ActuationCommand]:

@@ -4,7 +4,9 @@ Short, tiny `script`, `replay` and `live` runs, each in a subprocess. They
 assert the result line's shape and correctness, never a timing, so host
 noise cannot fail them. The `replay` run covers `load_trace`, `run_wearable`
 and the sink's in-order check of every emitted byte; the `live` run covers
-the sender process, UDP polling and the benchtop tick loop.
+the sender process, UDP polling and the benchtop tick loop. The traced
+`script` run covers the bench's own `FsmRuntime()` and `tick` loop; it
+writes its spans to the gitignored `.bench_out/spans-script-1.jsonl`.
 """
 
 import json
@@ -15,16 +17,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def assert_reports_the_declared_metrics(workload):
+def run_tiny(workload, *flags):
+    """The result line of a tiny seed-1 run of `workload`."""
     completed = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.2", "--tiny"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0.2", "--tiny", *flags],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    result = json.loads(completed.stdout.splitlines()[-1])
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def assert_reports_the_declared_metrics(workload):
+    result = run_tiny(workload)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     assert {name: m["unit"] for name, m in result["metrics"].items()} == declared
@@ -42,3 +49,11 @@ def test_replay_workload_reports_the_declared_metrics():
 
 def test_live_workload_reports_the_declared_metrics():
     assert_reports_the_declared_metrics("live")
+
+
+def test_traced_script_workload_reports_its_per_layer_metrics():
+    result = run_tiny("script", "--trace", "1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["fsm.tick_ns"]["value"] > 0
+    assert result["metrics"]["fsm.verify_determinism_ms"]["value"] > 0

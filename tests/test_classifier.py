@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from biofsm.classifier import (
     ArousalClass,
@@ -10,7 +12,7 @@ from biofsm.classifier import (
     classify_window,
     score_frame,
 )
-from biofsm.signals import Channel, PhysioSample
+from biofsm.signals import Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
 
 
 def frame(bpm, gsr, index=0, ts=0.0):
@@ -215,3 +217,78 @@ def test_extractor_anchors_gsr_windows_to_beats():
     assert [f.bpm for f in frames] == [60.0, 60.0, 60.0]
     # At 1500 ms the last 8 GSR samples are 7..14 -> mean 10.5, and so on.
     assert [f.gsr_us for f in frames] == [10.5, 20.5, 30.5]
+
+
+# A clean 6 s session that the property below edits: long enough for beats,
+# a warm GSR window and a few 2 s windows.
+SESSION = [
+    (s.timestamp_ms, s.channel, s.value)
+    for s in synth_physio(SignalProfile(bpm_start=80.0, gsr_start_us=17.5), 6_000, seed=5)
+]
+STREAM_WINDOW = LadderConfig(window_ms=2000.0)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# Gaps are bounded: a frame's timestamp closes every empty window up to it
+# in one list, so an unbounded jump would only measure that list's size.
+STREAM_EDITS = st.one_of(
+    st.tuples(st.just("value"), st.floats()),  # any float: NaN, ±inf and extremes too
+    st.tuples(st.just("timestamp"), NON_FINITE | st.floats(-1e6, 0.0)),
+    st.tuples(st.just("repeat"), st.just(0.0)),
+    st.tuples(st.just("back"), st.floats(0.0, 1e4)),
+    st.tuples(st.just("gap"), st.floats(0.0, 1e6)),
+)
+
+
+def edit_session(edits):
+    stream = [list(sample) for sample in SESSION]
+    for index, (kind, x) in edits:
+        sample = stream[index]
+        earlier = [s[0] for s in stream[:index] if s[1] is sample[1]]
+        if kind == "value":
+            sample[2] = x
+        elif kind == "timestamp":
+            sample[0] = x
+        elif kind in ("repeat", "back") and earlier:
+            sample[0] = earlier[-1] - x
+        elif kind == "gap":
+            for later in stream[index:]:
+                later[0] += x
+    return [PhysioSample(*sample) for sample in stream]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(SESSION) - 1), STREAM_EDITS), max_size=6))
+def test_any_sample_stream_is_rejected_with_its_message_or_classified(edits):
+    stream = edit_session(edits)
+    # Expected outcome: non-finite samples are skipped and counted; the first
+    # finite sample not after its channel's previous one stops the stream.
+    last, skipped, error = {}, 0, None
+    for sample in stream:
+        if not (math.isfinite(sample.value) and math.isfinite(sample.timestamp_ms)):
+            skipped += 1
+        elif sample.channel in last and sample.timestamp_ms <= last[sample.channel]:
+            error = f"{sample.channel.value} timestamp {sample.timestamp_ms} not after {last[sample.channel]}"
+            break
+        else:
+            last[sample.channel] = sample.timestamp_ms
+
+    extractor, accumulator = FeatureExtractor(), WindowAccumulator(STREAM_WINDOW)
+    frames, windows = 0, []
+    try:
+        for sample in stream:
+            feature = extractor.add(sample)
+            if feature is not None:
+                frames += 1
+                windows += accumulator.add(feature)
+    except SampleOrderError as exc:
+        assert str(exc) == error
+    else:
+        assert error is None
+        windows += accumulator.flush()
+        assert sum(len(w.frames) for w in windows) == frames
+    assert extractor.non_finite == skipped
+    assert [w.window_index for w in windows] == list(range(len(windows)))
+    for window in windows:
+        decision = classify_window(window.frames, STREAM_WINDOW, window.window_index)
+        if decision is not None:
+            assert 1 <= decision.frames_used <= len(window.frames)
+            assert decision.arousal in ArousalClass

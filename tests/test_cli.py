@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,7 @@ def test_config_roundtrip(tmp_path):
         gsr=(5.0, None),
     )
     path = tmp_path / "node.json"
-    config.save(path)
+    path.write_text(json.dumps(asdict(config)))
     assert NodeConfig.load(path) == config
 
 
@@ -66,8 +67,45 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 
 def test_config_role_must_match_command(tmp_path, capsys):
     path = tmp_path / "node.json"
-    NodeConfig(role="wearable").save(path)
+    path.write_text(json.dumps({"role": "wearable"}))
     assert main(["benchtop", "--config", str(path), "--max-ticks", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("port", "9000", "an integer"),
+        ("brownout_ticks", 10.0, "an integer"),
+        ("seed", True, "an integer"),
+        ("tick_ms", "50", "a number"),
+        ("window_ms", False, "a number"),
+        ("duration_s", "5", "a number"),
+        ("ppg_noise", None, "a number"),
+        ("gsr_noise", [0.3], "a number"),
+        ("host", None, "a string"),
+        ("log", 1, "a string or null"),
+        ("trace_path", True, "a string or null"),
+    ],
+)
+def test_config_rejects_a_wrongly_typed_field(field, value, kind):
+    with pytest.raises(ConfigError) as excinfo:
+        NodeConfig.from_dict({"role": "wearable", field: value})
+    assert str(excinfo.value) == f"{field} must be {kind}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "role, extra, fields, message",
+    [
+        ("benchtop", ["--max-ticks", "1"], {"port": "9000"}, "port must be an integer, got '9000'"),
+        ("wearable", [], {"duration_s": "5"}, "duration_s must be a number, got '5'"),
+    ],
+    ids=["benchtop-port", "wearable-duration_s"],
+)
+def test_wrongly_typed_config_file_exits_2(role, extra, fields, message, tmp_path, capsys):
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps({"role": role, **fields}))
+    assert main([role, "--config", str(path), *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_resolve_log_path(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import time
 
 import pytest
@@ -192,11 +193,20 @@ def test_any_script_replays_identically(script):
             assert runtime.state is TARGETS[symbol]
 
 
+# copy, deepcopy and a pickle round trip at every protocol.
+ROUND_TRIPS = [
+    copy.copy,
+    copy.deepcopy,
+    *(
+        lambda value, protocol=protocol: pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ),
+]
+
+
 def round_trips(member):
-    yield copy.copy(member)
-    yield copy.deepcopy(member)
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        yield pickle.loads(pickle.dumps(member, protocol))
+    for trip in ROUND_TRIPS:
+        yield trip(member)
 
 
 @pytest.mark.parametrize("member", [*BenchState, *InputSymbol], ids=str)
@@ -214,3 +224,58 @@ def test_copied_and_unpickled_members_are_the_member_itself(member):
             assert PAYLOADS.get(clone) is PAYLOADS.get(member)
             for state in BenchState:
                 assert sim._TAILS[clone, state] is sim._TAILS[member, state]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((BenchState.MILD, 11, 10), "silence_ticks 11 outside 0-10"),
+        ((BenchState.MILD, -1, 10), "silence_ticks -1 outside 0-10"),
+        ((BenchState.BROWNOUT, 4, 3), "silence_ticks 4 outside 0-3"),
+        ((BenchState.NORMAL, 0, 0), "brownout_ticks must be >= 1"),
+    ],
+)
+def test_every_way_of_building_a_runtime_validates_it(fields, message):
+    state, silence, budget = fields
+    valid = FsmRuntime(state)
+    builds = [
+        lambda: FsmRuntime(*fields),
+        lambda: FsmRuntime(state=state, silence_ticks=silence, brownout_ticks=budget),
+        lambda: valid._replace(silence_ticks=silence, brownout_ticks=budget),
+        lambda: FsmRuntime._make(fields),
+    ]
+    # tuple.__new__ is the one way round the constructor; copying or
+    # unpickling such a forgery must still reject it.
+    forged = tuple.__new__(FsmRuntime, fields)
+    builds += [lambda trip=trip: trip(forged) for trip in ROUND_TRIPS]
+    for build in builds:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    for trip in ROUND_TRIPS:
+        clone = trip(valid)
+        assert type(clone) is FsmRuntime and clone == valid
+
+
+def test_runtime_fields_cannot_be_set():
+    runtime = FsmRuntime()
+    for name in ("state", "silence_ticks", "brownout_ticks", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(runtime, name, 1)
+    assert runtime == FsmRuntime()
+
+
+def test_runtime_repr_is_exact():
+    # verify_determinism's conflict text embeds it.
+    runtime = FsmRuntime(BenchState.MILD, silence_ticks=3)
+    expected = "FsmRuntime(state=<BenchState.MILD: 'MILD'>, silence_ticks=3, brownout_ticks=10)"
+    assert repr(runtime) == f"{runtime}" == expected
+
+
+def test_equal_runtimes_are_equal_and_hash_equal():
+    a = FsmRuntime(BenchState.HIGH, 2, 5)
+    b = FsmRuntime(state=BenchState.HIGH, silence_ticks=2, brownout_ticks=5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, a._replace()}) == 1
+    assert a != FsmRuntime(BenchState.HIGH, 3, 5)
+    assert a != FsmRuntime(BenchState.MILD, 2, 5)
+    assert a == (BenchState.HIGH, 2, 5)  # and equal to the plain tuple
