@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .signals import (
-    BeatDetector,
-    DetectorConfig,
-    GsrCollector,
-    HeartRateTracker,
-    Channel,
-    PhysioSample,
-)
+from .signals import BeatDetector, Channel, GsrCollector, PhysioSample
 
 _GSR = Channel.GSR  # bound once for the per-sample loop, as in signals
 
@@ -73,26 +66,6 @@ class LadderConfig:
         if self.window_ms <= 0:
             raise ValueError("window_ms must be positive")
 
-    def hr_band(self, bpm: float) -> ArousalClass:
-        lo, hi = self.hr_range
-        if not (lo <= bpm <= hi):
-            raise ValueError(f"heart rate {bpm} outside supported range [{lo}, {hi}]")
-        if bpm < self.hr_splits[0]:
-            return ArousalClass.NORMAL
-        if bpm < self.hr_splits[1]:
-            return ArousalClass.MILD
-        return ArousalClass.HIGH
-
-    def gsr_band(self, gsr_us: float) -> ArousalClass:
-        lo, hi = self.gsr_range
-        if not (lo <= gsr_us <= hi):
-            raise ValueError(f"skin conductance {gsr_us} outside supported range [{lo}, {hi}]")
-        if gsr_us < self.gsr_splits[0]:
-            return ArousalClass.NORMAL
-        if gsr_us < self.gsr_splits[1]:
-            return ArousalClass.MILD
-        return ArousalClass.HIGH
-
     def frame_in_range(self, frame: FeatureFrame) -> bool:
         return (
             self.hr_range[0] <= frame.bpm <= self.hr_range[1]
@@ -100,11 +73,22 @@ class LadderConfig:
         )
 
 
+def _band(value: float, value_range: tuple[float, float], splits: tuple[float, float], name: str) -> ArousalClass:
+    lo, hi = value_range
+    if not (lo <= value <= hi):
+        raise ValueError(f"{name} {value} outside supported range [{lo}, {hi}]")
+    if value < splits[0]:
+        return ArousalClass.NORMAL
+    if value < splits[1]:
+        return ArousalClass.MILD
+    return ArousalClass.HIGH
+
+
 def score_frame(frame: FeatureFrame, config: LadderConfig) -> list[float]:
     """Weighted one-hot scores [normal, mild, high] for a single frame."""
     scores = [0.0, 0.0, 0.0]
-    scores[config.hr_band(frame.bpm)] += config.hr_weight
-    scores[config.gsr_band(frame.gsr_us)] += config.gsr_weight
+    scores[_band(frame.bpm, config.hr_range, config.hr_splits, "heart rate")] += config.hr_weight
+    scores[_band(frame.gsr_us, config.gsr_range, config.gsr_splits, "skin conductance")] += config.gsr_weight
     return scores
 
 
@@ -194,15 +178,14 @@ class WindowAccumulator:
 class FeatureExtractor:
     """Fuses the raw two-channel stream into per-beat feature frames.
 
-    Heart rate comes from the latest inter-beat gap, skin conductance from
-    the smoothing window's mean at the beat. Frames start once the first gap
+    Heart rate is 60000 / the latest inter-beat gap, skin conductance the
+    smoothing window's mean at the beat. Frames start once the first gap
     exists and the GSR window has filled. A sample whose value or timestamp
     is not finite is skipped and counted in `non_finite`.
     """
 
-    def __init__(self, detector_config: DetectorConfig | None = None):
-        self.detector = BeatDetector(detector_config)
-        self.tracker = HeartRateTracker()
+    def __init__(self):
+        self.detector = BeatDetector()
         self.collector = GsrCollector()
         self.non_finite = 0
 
@@ -216,8 +199,8 @@ class FeatureExtractor:
         beat = self.detector.step(sample)
         if beat is None:
             return None
-        bpm = self.tracker.update(beat)
+        gap = beat.inter_beat_interval_ms
         gsr = self.collector.smoothed()
-        if bpm is None or gsr is None:
+        if gap is None or gsr is None:
             return None
-        return FeatureFrame(beat.beat_index, beat.timestamp_ms, bpm, gsr)
+        return FeatureFrame(beat.beat_index, beat.timestamp_ms, 60000.0 / gap, gsr)

@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import LadderConfig
@@ -28,7 +28,7 @@ from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
 from .nodes import run_benchtop, run_wearable
 from .protocol import DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
-from .sim import ScriptError, evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
+from .sim import evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
 
 log = logging.getLogger(__name__)
 
@@ -118,13 +118,14 @@ class NodeConfig:
         return cls.from_dict(data)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_ramp(value, name: str) -> tuple[float, float | None]:
-    if isinstance(value, (int, float)):
-        return (float(value), None)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        start = float(value[0])
-        end = None if value[1] is None else float(value[1])
-        return (start, end)
+    start, end = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, None)
+    if _is_number(start) and (end is None or _is_number(end)):
+        return (float(start), None if end is None else float(end))
     raise ConfigError(f"{name} must be a number or [start, end] pair, got {value!r}")
 
 
@@ -166,27 +167,12 @@ def _load_or_default(args: argparse.Namespace, role: str) -> NodeConfig:
             raise ConfigError(f"config role {config.role!r} does not match the {role!r} command")
     else:
         config = NodeConfig(role=role)
-    for flag, attr in (
-        ("port", "port"),
-        ("host", "host"),
-        ("tick_ms", "tick_ms"),
-        ("brownout_ticks", "brownout_ticks"),
-        ("window_ms", "window_ms"),
-        ("log", "log"),
-        ("seed", "seed"),
-        ("duration_s", "duration_s"),
-        ("trace", "trace_path"),
-        ("ppg_noise", "ppg_noise"),
-        ("gsr_noise", "gsr_noise"),
-    ):
-        value = getattr(args, flag, None)
+    # Each flag's dest is the name of the field it overrides.
+    for name in (field.name for field in fields(NodeConfig)):
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, attr, value)
-    if getattr(args, "bpm", None) is not None:
-        config.bpm = _parse_ramp_flag(args.bpm, "bpm")
-    if getattr(args, "gsr", None) is not None:
-        config.gsr = _parse_ramp_flag(args.gsr, "gsr")
-    if getattr(args, "trace", None) is not None:
+            setattr(config, name, _parse_ramp_flag(value, name) if name in ("bpm", "gsr") else value)
+    if getattr(args, "trace_path", None) is not None:
         config.source = "trace"
     return config
 
@@ -270,13 +256,13 @@ def _cmd_benchtop(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.transitions:
-        report = verify_determinism(args.brownout_ticks or DEFAULT_BROWNOUT_TICKS)
+        report = verify_determinism(args.brownout_ticks)
         print(report.render())
         return 0 if report.deterministic else 1
     if not args.script:
         raise ConfigError("simulate needs a script file (or --transitions)")
     symbols = load_script(args.script)
-    steps = run_simulation(symbols, args.brownout_ticks or DEFAULT_BROWNOUT_TICKS)
+    steps = run_simulation(symbols, args.brownout_ticks)
     trace = serialize_trace(steps)
     if args.output:
         Path(args.output).write_text(trace, encoding="utf-8")
@@ -310,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(w)
     w.add_argument("--host", help="benchtop address to send to")
     w.add_argument("--window-ms", type=float, dest="window_ms", help="classification window length")
-    w.add_argument("--trace", help="replay a recorded trace CSV instead of synthesizing")
+    w.add_argument("--trace", dest="trace_path", help="replay a recorded trace CSV instead of synthesizing")
     w.add_argument("--seed", type=int, help="synthesis seed")
     w.add_argument("--duration-s", type=float, dest="duration_s", help="synthesis length in seconds")
     w.add_argument("--bpm", help="synthetic heart rate, START or START:END")
@@ -332,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run a tick script on the virtual clock")
     s.add_argument("script", nargs="?", help="script file, one of A/B/C/X/- per line")
-    s.add_argument("--brownout-ticks", type=int, dest="brownout_ticks", help="silent ticks before brownout")
+    s.add_argument("--brownout-ticks", type=int, default=DEFAULT_BROWNOUT_TICKS, help="silent ticks before brownout")
     s.add_argument("--output", help="write the JSONL trace here instead of stdout")
     s.add_argument("--transitions", action="store_true", help="print the verified transition table and exit")
     s.set_defaults(func=_cmd_simulate)
@@ -357,9 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, ScriptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from typing import IO, Callable, Iterable, Iterator
 from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, classify_window
 from .fsm import DEFAULT_BROWNOUT_TICKS
 from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
-from .signals import DetectorConfig, PhysioSample
+from .signals import PhysioSample
 from .sim import SimStep, iter_steps
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,6 @@ class WindowEmission:
 def run_wearable(
     samples: Iterable[PhysioSample],
     ladder: LadderConfig | None = None,
-    detector: DetectorConfig | None = None,
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
 ) -> list[WindowEmission]:
@@ -74,7 +73,7 @@ def run_wearable(
     end. An empty stream emits nothing and returns cleanly.
     """
     ladder = ladder or LadderConfig()
-    extractor = FeatureExtractor(detector)
+    extractor = FeatureExtractor()
     accumulator = WindowAccumulator(ladder)
     emissions: list[WindowEmission] = []
     log_file = _open_log(log_path)
@@ -146,6 +145,8 @@ def run_benchtop(
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
+    if max_ticks is not None and max_ticks < 0:
+        raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")
     steps: list[SimStep] = []
     log_file = _open_log(log_path)
     own_receiver = receiver is None

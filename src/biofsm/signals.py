@@ -143,40 +143,14 @@ class BeatDetector:
         return beat
 
 
-class HeartRateTracker:
-    """Heart rate from the mean of the last `intervals` inter-beat gaps.
-
-    With intervals=1, the system's setting, this is the single-interval
-    estimate 60000 / gap.
-    """
-
-    def __init__(self, intervals: int = 1):
-        if intervals < 1:
-            raise ValueError("intervals must be >= 1")
-        self._gaps: deque[float] = deque(maxlen=intervals)
-
-    def update(self, event: BeatEvent) -> float | None:
-        """BPM after this beat; None for beat 0, which has no gap."""
-        if event.inter_beat_interval_ms is None:
-            return None
-        if event.inter_beat_interval_ms <= 0:
-            raise ValueError(f"inter-beat interval must be positive, got {event.inter_beat_interval_ms}")
-        self._gaps.append(event.inter_beat_interval_ms)
-        mean_gap = sum(self._gaps) / len(self._gaps)
-        return 60000.0 / mean_gap
-
-
 GSR_WINDOW_SIZE = 8
 
 
 class GsrCollector:
     """Rolling buffer of the last few GSR samples; its mean is the smoothed level."""
 
-    def __init__(self, size: int = GSR_WINDOW_SIZE):
-        if size < 1:
-            raise ValueError("window size must be >= 1")
-        self.size = size
-        self._samples: deque[float] = deque(maxlen=size)
+    def __init__(self):
+        self._samples: deque[float] = deque(maxlen=GSR_WINDOW_SIZE)
         self._last_timestamp_ms: float | None = None
 
     def add(self, sample: PhysioSample) -> None:
@@ -190,10 +164,10 @@ class GsrCollector:
         self._samples.append(sample.value)
 
     def smoothed(self) -> float | None:
-        """Uniform mean of the last `size` samples; None until that many arrived."""
-        if len(self._samples) < self.size:
+        """Uniform mean of the last GSR_WINDOW_SIZE samples; None until that many arrived."""
+        if len(self._samples) < GSR_WINDOW_SIZE:
             return None
-        return sum(self._samples) / self.size
+        return sum(self._samples) / GSR_WINDOW_SIZE
 
 
 @dataclass

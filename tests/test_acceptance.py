@@ -9,7 +9,7 @@ import json
 import time
 from statistics import median
 
-from biofsm.classifier import ArousalClass, LadderConfig, score_frame, FeatureFrame
+from biofsm.classifier import ArousalClass, FeatureExtractor, LadderConfig, score_frame, FeatureFrame
 from biofsm.fsm import (
     DEFAULT_BROWNOUT_TICKS,
     BenchState,
@@ -19,10 +19,8 @@ from biofsm.fsm import (
 )
 from biofsm.protocol import InputSymbol
 from biofsm.signals import (
-    BeatDetector,
     Channel,
     GsrCollector,
-    HeartRateTracker,
     PhysioSample,
     SignalProfile,
     synth_physio,
@@ -156,18 +154,8 @@ def test_criterion_4_fixture_accuracy_with_discrepancy_flag():
 
 
 def _recovered_bpm(profile, seed):
-    detector = BeatDetector()
-    tracker = HeartRateTracker()
-    estimates = []
-    for sample in synth_physio(profile, 60_000, seed):
-        if sample.channel is not Channel.PPG:
-            continue
-        beat = detector.step(sample)
-        if beat is not None:
-            bpm = tracker.update(beat)
-            if bpm is not None:
-                estimates.append(bpm)
-    return median(estimates[2:])
+    frames = map(FeatureExtractor().add, synth_physio(profile, 60_000, seed))
+    return median([frame.bpm for frame in frames if frame is not None][2:])
 
 
 def test_criterion_5_beat_rate_fidelity():

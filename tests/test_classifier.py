@@ -19,6 +19,16 @@ def frame(bpm, gsr, index=0, ts=0.0):
     return FeatureFrame(index, ts, bpm, gsr)
 
 
+# With all the weight on one channel, a frame's scores are one-hot on that
+# channel's band.
+HR_ONLY = LadderConfig(hr_weight=1.0, gsr_weight=0.0)
+GSR_ONLY = LadderConfig(hr_weight=0.0, gsr_weight=1.0)
+
+
+def one_hot(band):
+    return [1.0 if k == band else 0.0 for k in ArousalClass]
+
+
 def test_mild_hr_with_mild_gsr_outweighs_normal():
     # HR in the calm band but conductance elevated: the heavier GSR weight
     # must tip the decision to MILD.
@@ -59,7 +69,7 @@ def test_elevated_frame_is_high():
     ],
 )
 def test_heart_rate_band_edges(bpm, band):
-    assert LadderConfig().hr_band(bpm) is band
+    assert score_frame(frame(bpm, 10.0), HR_ONLY) == one_hot(band)
 
 
 @pytest.mark.parametrize(
@@ -74,21 +84,21 @@ def test_heart_rate_band_edges(bpm, band):
     ],
 )
 def test_gsr_band_edges(gsr, band):
-    assert LadderConfig().gsr_band(gsr) is band
+    assert score_frame(frame(70.0, gsr), GSR_ONLY) == one_hot(band)
 
 
 @pytest.mark.parametrize("bpm", [59.9, 120.1])
 def test_heart_rate_outside_range_raises(bpm):
-    with pytest.raises(ValueError):
-        LadderConfig().hr_band(bpm)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         score_frame(frame(bpm, 10.0), LadderConfig())
+    assert str(excinfo.value) == f"heart rate {bpm} outside supported range [60.0, 120.0]"
 
 
 @pytest.mark.parametrize("gsr", [-0.1, 25.1])
 def test_gsr_outside_range_raises(gsr):
-    with pytest.raises(ValueError):
-        LadderConfig().gsr_band(gsr)
+    with pytest.raises(ValueError) as excinfo:
+        score_frame(frame(70.0, gsr), LadderConfig())
+    assert str(excinfo.value) == f"skin conductance {gsr} outside supported range [0.0, 25.0]"
 
 
 def test_window_vote_matches_manual_summation():
@@ -101,8 +111,8 @@ def test_window_vote_matches_manual_summation():
     # (118, 24) frame puts the full 1.0 on HIGH. Totals: [4.0, 6.0, 5.0].
     expected = [0.0, 0.0, 0.0]
     for f in mild_frames + high_frames:
-        expected[config.hr_band(f.bpm)] += config.hr_weight
-        expected[config.gsr_band(f.gsr_us)] += config.gsr_weight
+        for k, score in enumerate(score_frame(f, config)):
+            expected[k] += score
     assert decision.score_vector == pytest.approx(expected)
     assert expected == pytest.approx([4.0, 6.0, 5.0])
     assert decision.arousal is ArousalClass.MILD

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from biofsm.cli import ConfigError, NodeConfig, main, resolve_log_path
+from biofsm.cli import ConfigError, NodeConfig, _load_or_default, build_parser, main, resolve_log_path
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS
 from biofsm.protocol import InputSymbol
 from biofsm.sim import run_simulation, serialize_trace
@@ -85,6 +85,9 @@ def test_config_role_must_match_command(tmp_path, capsys):
         ("host", None, "a string"),
         ("log", 1, "a string or null"),
         ("trace_path", True, "a string or null"),
+        ("bpm", True, "a number or [start, end] pair"),
+        ("gsr", [True, None], "a number or [start, end] pair"),
+        ("bpm", ["fast", 90], "a number or [start, end] pair"),
     ],
 )
 def test_config_rejects_a_wrongly_typed_field(field, value, kind):
@@ -106,6 +109,48 @@ def test_wrongly_typed_config_file_exits_2(role, extra, fields, message, tmp_pat
     path.write_text(json.dumps({"role": role, **fields}))
     assert main([role, "--config", str(path), *extra]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Every field a flag can override, set in a config file; the flags below
+# give each one a different value.
+FILE_FIELDS = {
+    "host": "10.0.0.1",
+    "port": 9001,
+    "tick_ms": 40.0,
+    "brownout_ticks": 7,
+    "window_ms": 12000.0,
+    "log": "file.jsonl",
+    "source": "synth",
+    "trace_path": "file.csv",
+    "seed": 1,
+    "duration_s": 30.0,
+    "bpm": [65.0, 75.0],
+    "gsr": [8.0, None],
+    "ppg_noise": 1.0,
+    "gsr_noise": 0.1,
+}
+COMMON_FLAGS = ["--host", "10.0.0.2", "--port", "9002", "--tick-ms", "25", "--brownout-ticks", "4", "--log", "flag.jsonl"]
+COMMON_VALUES = {"host": "10.0.0.2", "port": 9002, "tick_ms": 25.0, "brownout_ticks": 4, "log": "flag.jsonl"}
+
+
+@pytest.mark.parametrize(
+    "role, flags, overridden",
+    [
+        (
+            "wearable",
+            COMMON_FLAGS + ["--window-ms", "5000", "--trace", "flag.csv", "--seed", "2", "--duration-s", "60",
+                            "--bpm", "80:100", "--gsr", "12", "--ppg-noise", "2", "--gsr-noise", "0.2"],
+            {**COMMON_VALUES, "window_ms": 5000.0, "source": "trace", "trace_path": "flag.csv", "seed": 2,
+             "duration_s": 60.0, "bpm": (80.0, 100.0), "gsr": (12.0, None), "ppg_noise": 2.0, "gsr_noise": 0.2},
+        ),
+        ("benchtop", COMMON_FLAGS + ["--max-ticks", "1"], COMMON_VALUES),
+    ],
+)
+def test_each_flag_overrides_its_config_field(role, flags, overridden, tmp_path):
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps({"role": role, **FILE_FIELDS}))
+    args = build_parser().parse_args([role, "--config", str(path), *flags])
+    assert _load_or_default(args, role) == NodeConfig(role=role, **{**FILE_FIELDS, **overridden})
 
 
 def test_resolve_log_path(monkeypatch, tmp_path):
@@ -150,6 +195,19 @@ def test_simulate_transitions_table(capsys):
     assert main(["simulate", "--transitions"]) == 0
     out = capsys.readouterr().out
     assert "BROWNOUT" in out and "deterministic" in out
+
+
+@pytest.mark.parametrize("target", [["script.txt"], ["--transitions"]])
+def test_simulate_rejects_zero_brownout_ticks(target, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("script.txt").write_text("A\n-\n")
+    assert main(["simulate", *target, "--brownout-ticks", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: brownout_ticks must be >= 1\n")
+
+
+def test_benchtop_rejects_negative_max_ticks(capsys):
+    assert main(["benchtop", "--port", "0", "--max-ticks", "-1"]) == 2
+    assert capsys.readouterr().err == "error: max_ticks must be non-negative, got -1\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -6,13 +6,14 @@ from statistics import median
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biofsm.classifier import FeatureExtractor
 from biofsm.signals import (
+    GSR_WINDOW_SIZE,
     BeatDetector,
     BeatEvent,
     Channel,
     DetectorConfig,
     GsrCollector,
-    HeartRateTracker,
     PhysioSample,
     SampleOrderError,
     SignalProfile,
@@ -29,22 +30,32 @@ def ppg_only(profile, duration_ms, seed):
 
 
 def detect_bpms(profile, duration_ms, seed, skip=2):
-    """Single-interval estimates, dropping the first few warm-up beats."""
-    detector = BeatDetector()
-    tracker = HeartRateTracker()
-    estimates = []
-    for sample in ppg_only(profile, duration_ms, seed):
-        beat = detector.step(sample)
-        if beat is not None:
-            bpm = tracker.update(beat)
-            if bpm is not None:
-                estimates.append(bpm)
-    return estimates[skip:]
+    """The extractor's per-beat rates, dropping the first few warm-up beats."""
+    frames = map(FeatureExtractor().add, synth_physio(profile, duration_ms, seed))
+    return [frame.bpm for frame in frames if frame is not None][skip:]
+
+
+def pulse_frames(gaps_ms):
+    """What the extractor returns at each spike of a flat PPG line whose spikes are `gaps_ms` apart.
+
+    The GSR window is already full, so every beat with a gap makes a frame.
+    """
+    extractor = FeatureExtractor()
+    for i in range(GSR_WINDOW_SIZE):
+        extractor.add(PhysioSample(i * 100.0, Channel.GSR, 10.0))
+    extractor.add(PhysioSample(0.0, Channel.PPG, 0.0))
+    results, t = [], 1000.0
+    for gap in (0.0, *gaps_ms):
+        t += gap
+        results.append(extractor.add(PhysioSample(t, Channel.PPG, 100.0)))
+        assert extractor.add(PhysioSample(t + 20.0, Channel.PPG, 0.0)) is None
+    return results
 
 
 def smoothed(values):
     """The collector's mean over exactly these GSR values."""
-    collector = GsrCollector(size=len(values))
+    assert len(values) == GSR_WINDOW_SIZE
+    collector = GsrCollector()
     for i, value in enumerate(values):
         collector.add(PhysioSample(i * 100.0, Channel.GSR, value))
     return collector.smoothed()
@@ -98,7 +109,9 @@ def test_baseline_drift_does_not_disturb_detection():
 
 
 def test_first_beat_has_no_rate():
-    assert HeartRateTracker().update(BeatEvent(0, 500.0, None)) is None
+    first, second = pulse_frames([1000.0])
+    assert first is None
+    assert second.beat_index == 1 and second.bpm == 60.0
 
 
 @pytest.mark.parametrize(
@@ -106,47 +119,35 @@ def test_first_beat_has_no_rate():
     [(1000.0, 60.0), (500.0, 120.0), (666.7, 89.995)],
 )
 def test_rate_from_interval(interval_ms, expected):
-    assert HeartRateTracker().update(BeatEvent(3, 2000.0, interval_ms)) == pytest.approx(expected, abs=0.01)
+    assert pulse_frames([interval_ms])[1].bpm == pytest.approx(expected, abs=0.01)
 
 
 def test_rate_rejects_nonpositive_interval():
-    with pytest.raises(ValueError):
-        HeartRateTracker().update(BeatEvent(1, 1000.0, 0.0))
-    with pytest.raises(ValueError):
-        HeartRateTracker().update(BeatEvent(1, 1000.0, -5.0))
-
-
-def test_tracker_averages_recent_intervals():
-    tracker = HeartRateTracker(intervals=2)
-    assert tracker.update(BeatEvent(0, 0.0, None)) is None
-    first = tracker.update(BeatEvent(1, 660.0, 660.0))
-    second = tracker.update(BeatEvent(2, 1340.0, 680.0))
-    assert first == pytest.approx(60000.0 / 660.0)
-    assert second == pytest.approx(60000.0 / 670.0)
+    # The detector refuses a PPG timestamp not after the last one, so a gap
+    # of zero or less never reaches the rate.
+    with pytest.raises(SampleOrderError):
+        pulse_frames([1000.0, 0.0])
+    with pytest.raises(SampleOrderError):
+        pulse_frames([1000.0, -5.0])
 
 
 def test_tracker_single_interval_matches_plain_estimate():
-    tracker = HeartRateTracker(intervals=1)
-    assert tracker.update(BeatEvent(4, 5000.0, 750.0)) == 60000.0 / 750.0
     # only the latest gap counts
-    assert tracker.update(BeatEvent(5, 5600.0, 600.0)) == 60000.0 / 600.0
+    assert [frame.bpm for frame in pulse_frames([750.0, 600.0])[1:]] == [60000.0 / 750.0, 60000.0 / 600.0]
 
 
 def test_ramp_estimates_rise_monotonically():
+    # A beat is declared at the first PPG sample at or past its crossing, a
+    # lag in [0, dt), so every gap is a multiple of dt. Two consecutive gaps
+    # share a beat: they differ by the change in the true gap plus lag terms
+    # in (-2*dt, 2*dt). On a rising rate the true gap does not grow, so a
+    # gap exceeds the one before it by at most one dt.
     profile = SignalProfile(bpm_start=60.0, bpm_end=110.0)
-    detector = BeatDetector()
-    tracker = HeartRateTracker(intervals=8)
-    estimates = []
-    for sample in ppg_only(profile, 120_000, seed=5):
-        beat = detector.step(sample)
-        if beat is not None:
-            bpm = tracker.update(beat)
-            if bpm is not None:
-                estimates.append(bpm)
-    estimates = estimates[8:]  # let the averaging window fill
+    dt_ms = 1000.0 / profile.ppg_rate_hz
+    estimates = detect_bpms(profile, 120_000, seed=5)
     assert estimates[-1] - estimates[0] > 30.0
     for previous, current in zip(estimates, estimates[1:]):
-        assert current >= previous - 2.0
+        assert 60000.0 / current <= 60000.0 / previous + dt_ms + 1e-6
 
 
 class ReferenceDetector:
@@ -260,13 +261,6 @@ def test_smoother_uniform_mean_is_exact():
     assert smoothed([8.0] * 8) == 8.0
 
 
-def test_smoother_window_size_sets_the_span():
-    collector = GsrCollector(size=4)
-    for i, value in enumerate([100.0, 1.0, 2.0, 3.0, 4.0]):
-        collector.add(PhysioSample(i * 100.0, Channel.GSR, value))
-    assert collector.smoothed() == 2.5  # the oldest sample has left the window
-
-
 def test_smoother_rejects_empty_window():
     assert GsrCollector().smoothed() is None
 
@@ -292,17 +286,15 @@ def test_collector_keeps_last_eight():
 
 
 def test_collector_warmup_and_order():
-    collector = GsrCollector(size=3)
-    assert collector.smoothed() is None
-    collector.add(PhysioSample(0.0, Channel.GSR, 1.0))
-    collector.add(PhysioSample(100.0, Channel.GSR, 2.0))
-    assert collector.smoothed() is None  # not warm until three samples
-    collector.add(PhysioSample(200.0, Channel.GSR, 3.0))
-    assert collector.smoothed() == 2.0
+    collector = GsrCollector()
+    for i in range(GSR_WINDOW_SIZE):
+        assert collector.smoothed() is None  # not warm until eight samples
+        collector.add(PhysioSample(i * 100.0, Channel.GSR, float(i)))
+    assert collector.smoothed() == 3.5
     with pytest.raises(SampleOrderError):
-        collector.add(PhysioSample(200.0, Channel.GSR, 4.0))
+        collector.add(PhysioSample(700.0, Channel.GSR, 4.0))
     with pytest.raises(ValueError):
-        collector.add(PhysioSample(300.0, Channel.PPG, 5.0))
+        collector.add(PhysioSample(800.0, Channel.PPG, 5.0))
 
 
 def test_synthesis_is_deterministic():
