@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .classifier import LadderConfig
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
-from .nodes import run_benchtop, run_wearable
+from .nodes import check_benchtop_settings, run_benchtop, run_wearable
 from .protocol import DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
 from .sim import evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
@@ -203,6 +203,8 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
     stop = threading.Event()
     benchtop_thread = None
     if args.duplex:
+        # Checked here, because the benchtop thread's own failure would reach nobody.
+        check_benchtop_settings(config.tick_ms, config.brownout_ticks)
         receiver = UdpReceiver(EndpointConfig(bind_host="127.0.0.1", port=config.port))
         # Port 0 binds an ephemeral port, so send to the one actually bound.
         endpoint.port = receiver.port

@@ -8,7 +8,8 @@ consecutive silent ticks latch BROWNOUT until a valid byte arrives.
 
 Transitions are pure functions of (state, silence counter, input), which
 makes the machine exhaustively checkable: `verify_determinism` enumerates
-every configuration and checks that each successor is a valid one.
+every configuration and checks that each successor is a valid one. Each
+`tick` builds and validates a fresh successor configuration.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, Actuatio
         state = runtime.state if runtime.state is _BROWNOUT else _INVALID
     else:
         state = _TARGETS[symbol]
-    if state is runtime.state and silence == runtime.silence_ticks:
-        # Frozen and validated when built, so an unchanged configuration is reused.
-        return runtime, ACTUATION[state]
     return FsmRuntime(state, silence, runtime.brownout_ticks), ACTUATION[state]
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, classify_window
-from .fsm import DEFAULT_BROWNOUT_TICKS
+from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
 from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import PhysioSample
 from .sim import SimStep, iter_steps
@@ -125,6 +125,13 @@ def _emit_window(closed: ClosedWindow, ladder: LadderConfig, sender: UdpSender) 
     )
 
 
+def check_benchtop_settings(tick_ms: float, brownout_ticks: int) -> None:
+    """Raise the ValueError `run_benchtop` gives for a tick length or silence budget it cannot run."""
+    if not (math.isfinite(tick_ms) and tick_ms > 0):
+        raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
+    FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
+
+
 def run_benchtop(
     endpoint: EndpointConfig | None = None,
     tick_ms: float = 50.0,
@@ -143,8 +150,7 @@ def run_benchtop(
     `should_stop` turns true at a tick boundary, or on Ctrl-C. Every tick
     appends its `SimStep.line()` to the log, the simulator's trace line.
     """
-    if not (math.isfinite(tick_ms) and tick_ms > 0):
-        raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
+    check_benchtop_settings(tick_ms, brownout_ticks)
     if max_ticks is not None and max_ticks < 0:
         raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")
     steps: list[SimStep] = []

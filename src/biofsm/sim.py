@@ -95,10 +95,19 @@ class SimStep:
 
 
 def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[SimStep]:
-    """The tick loop every caller shares: one step per symbol, from NORMAL."""
+    """The tick loop every caller shares: one step per symbol, from NORMAL.
+
+    Symbols are pulled one per step, so `symbols` may poll a socket. `tick`
+    runs once per (configuration, input) pair the run reaches; a memo local
+    to this call, never over 25·(brownout_ticks+1) entries, answers repeats.
+    """
     runtime = FsmRuntime(brownout_ticks=brownout_ticks)
+    successors: dict[tuple[FsmRuntime, InputSymbol], FsmRuntime] = {}
     for index, symbol in enumerate(symbols):
-        runtime, _ = tick(runtime, symbol)
+        key = runtime, symbol
+        runtime = successors.get(key)
+        if runtime is None:
+            runtime = successors[key] = tick(*key)[0]
         yield SimStep(index, symbol, runtime.state)
 
 

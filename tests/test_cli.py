@@ -210,6 +210,15 @@ def test_benchtop_rejects_negative_max_ticks(capsys):
     assert capsys.readouterr().err == "error: max_ticks must be non-negative, got -1\n"
 
 
+def test_benchtop_rejects_zero_brownout_ticks_before_touching_its_log(tmp_path, capsys):
+    log = tmp_path / "x.jsonl"
+    log.write_bytes(b'{"tick": 0}\n')
+    args = ["benchtop", "--port", "0", "--brownout-ticks", "0", "--log", str(log), "--max-ticks", "3"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: brownout_ticks must be >= 1\n"
+    assert log.read_bytes() == b'{"tick": 0}\n'
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
@@ -434,6 +443,20 @@ def test_duplex_on_port_0_sends_to_the_bound_port(tmp_path, monkeypatch, capsys)
     benchtop_log = read_jsonl(tmp_path / "benchtop.jsonl")
     assert any(r["input"] in {"A", "B", "C"} for r in benchtop_log)
     assert_simulator_agrees(tmp_path / "benchtop.jsonl")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--brownout-ticks", "0"], "brownout_ticks must be >= 1"),
+        (["--tick-ms", "0"], "tick_ms must be finite and positive, got 0.0"),
+    ],
+)
+def test_duplex_rejects_a_benchtop_setting_before_starting(flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    assert main(["wearable", "--duplex", "--port", "0", *flags, "--duration-s", "20"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []  # no window closed, no benchtop log opened
 
 
 @pytest.mark.slow

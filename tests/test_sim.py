@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biofsm.classifier import ArousalClass
-from biofsm.fsm import ACTUATION, BenchState, FsmRuntime, tick, verify_determinism
+from biofsm.fsm import ACTUATION, DEFAULT_BROWNOUT_TICKS, BenchState, FsmRuntime, tick, verify_determinism
 from biofsm.protocol import CLASS_SYMBOLS, InputSymbol
 from biofsm.sim import (
     ScriptError,
     SimStep,
     TraceRecord,
     evaluate_table3,
+    iter_steps,
     load_script,
     load_table3,
     parse_script,
@@ -118,11 +119,23 @@ def model_successor(state, silence, symbol, brownout_ticks):
     return {A: BenchState.NORMAL, B: BenchState.MILD, C: BenchState.HIGH}[symbol], 0
 
 
+# Scripts as runs of one symbol, up to 14 long, so a silence can outlast
+# every budget tried and single ticks of any symbol still occur.
+scripts = st.lists(st.tuples(st.sampled_from(list(InputSymbol)), st.integers(1, 14)), max_size=40).map(
+    lambda runs: [symbol for symbol, length in runs for _ in range(length)]
+)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.sampled_from(list(InputSymbol)), max_size=200), st.integers(1, 12))
+@given(scripts, st.integers(1, 12))
 def test_any_script_traces_like_the_reference(script, brownout_ticks):
     steps = run_simulation(script, brownout_ticks)
     assert serialize_trace(steps) == "".join(reference_line(step) for step in steps)
+    state, silence, states = BenchState.NORMAL, 0, []
+    for symbol in script:
+        state, silence = model_successor(state, silence, symbol, brownout_ticks)
+        states.append(state)
+    assert [step.state for step in steps] == states
     runtime = FsmRuntime(brownout_ticks=brownout_ticks)
     for symbol in script:
         expected = FsmRuntime(
@@ -132,6 +145,34 @@ def test_any_script_traces_like_the_reference(script, brownout_ticks):
         assert runtime == expected
         assert command is ACTUATION[runtime.state]
     assert verify_determinism(brownout_ticks).deterministic
+
+
+def test_iter_steps_pulls_one_symbol_per_step():
+    pulled = 0
+
+    def symbols():
+        nonlocal pulled
+        for symbol in [A, ABSENT, X, B, ABSENT, C] * 10:
+            pulled += 1
+            yield symbol
+
+    steps = iter_steps(symbols(), DEFAULT_BROWNOUT_TICKS)
+    assert pulled == 0
+    for k in range(1, 31):
+        next(steps)
+        assert pulled == k
+
+
+def test_interleaved_runs_keep_their_own_budgets():
+    script = ([A] + [ABSENT] * 3 + [X] + [ABSENT] * 12 + [B, X]) * 3
+    short, long = iter_steps(script, 1), iter_steps(script, 10)
+    got_short, got_long = [], []
+    for step_short, step_long in zip(short, long):
+        got_short.append(step_short)
+        got_long.append(step_long)
+    assert got_short == run_simulation(script, 1)
+    assert got_long == run_simulation(script, 10)
+    assert got_short != got_long
 
 
 def test_trace_lines_parse_back_as_json():
