@@ -18,6 +18,8 @@ from .signals import BeatDetector, Channel, GsrCollector, PhysioSample
 
 _GSR = Channel.GSR  # bound once for the per-sample loop, as in signals
 
+DEFAULT_WINDOW_MS = 15000.0
+
 
 class ArousalClass(IntEnum):
     NORMAL = 0
@@ -50,7 +52,7 @@ class LadderConfig:
     gsr_splits: tuple[float, float] = (15.0, 20.0)
     hr_weight: float = 0.4
     gsr_weight: float = 0.6
-    window_ms: float = 15000.0
+    window_ms: float = DEFAULT_WINDOW_MS
 
     def __post_init__(self) -> None:
         for name, (lo, hi), (s0, s1) in (
@@ -63,8 +65,8 @@ class LadderConfig:
             raise ValueError("weights must be non-negative")
         if abs(self.hr_weight + self.gsr_weight - 1.0) > 1e-9:
             raise ValueError("hr_weight + gsr_weight must equal 1")
-        if self.window_ms <= 0:
-            raise ValueError("window_ms must be positive")
+        if not (math.isfinite(self.window_ms) and self.window_ms > 0):
+            raise ValueError(f"window_ms must be finite and positive, got {self.window_ms!r}")
 
     def frame_in_range(self, frame: FeatureFrame) -> bool:
         return (

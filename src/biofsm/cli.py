@@ -20,21 +20,20 @@ import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .classifier import LadderConfig
+from .classifier import DEFAULT_WINDOW_MS, LadderConfig
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
 from .nodes import check_benchtop_settings, run_benchtop, run_wearable
-from .protocol import DEFAULT_PORT, EndpointConfig, UdpReceiver
+from .protocol import DEFAULT_HOST, DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
-from .sim import evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
+from .sim import DEFAULT_TICK_MS, evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
 
 log = logging.getLogger(__name__)
 
 LOG_DIR_ENV = "BIOFSM_LOG_DIR"
-
-DEFAULT_TICK_MS = 50.0
 
 
 class ConfigError(ValueError):
@@ -60,14 +59,13 @@ class NodeConfig:
     """
 
     role: str
-    host: str = "127.0.0.1"
+    host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
     tick_ms: float = DEFAULT_TICK_MS
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS
-    window_ms: float = 15000.0
+    window_ms: float = DEFAULT_WINDOW_MS
     log: str | None = None
-    # wearable signal source
-    source: str = "synth"
+    # wearable signal source: the trace at trace_path if set, else synthesis
     trace_path: str | None = None
     seed: int = 0
     duration_s: float = 75.0
@@ -77,13 +75,10 @@ class NodeConfig:
     gsr_noise: float = 0.0
 
     ROLES = ("wearable", "benchtop")
-    SOURCES = ("synth", "trace")
 
     def __post_init__(self) -> None:
         if self.role not in self.ROLES:
             raise ConfigError(f"role must be one of {self.ROLES}, got {self.role!r}")
-        if self.source not in self.SOURCES:
-            raise ConfigError(f"source must be one of {self.SOURCES}, got {self.source!r}")
         for name, (types, kind) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, types):
@@ -172,15 +167,11 @@ def _load_or_default(args: argparse.Namespace, role: str) -> NodeConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(config, name, _parse_ramp_flag(value, name) if name in ("bpm", "gsr") else value)
-    if getattr(args, "trace_path", None) is not None:
-        config.source = "trace"
     return config
 
 
 def _wearable_samples(config: NodeConfig):
-    if config.source == "trace":
-        if not config.trace_path:
-            raise ConfigError("source 'trace' needs trace_path (or --trace)")
+    if config.trace_path is not None:
         return load_trace(config.trace_path)
     profile = SignalProfile(
         bpm_start=config.bpm[0],
@@ -196,46 +187,32 @@ def _wearable_samples(config: NodeConfig):
 def _cmd_wearable(args: argparse.Namespace) -> int:
     config = _load_or_default(args, "wearable")
     ladder = LadderConfig(window_ms=config.window_ms)
-    endpoint = EndpointConfig(peer_host=config.host, port=config.port)
+    endpoint = EndpointConfig(config.host, config.port)
     log_path = resolve_log_path(config.log, "wearable")
     samples = _wearable_samples(config)
-
-    stop = threading.Event()
-    benchtop_thread = None
-    if args.duplex:
-        # Checked here, because the benchtop thread's own failure would reach nobody.
+    if not args.duplex:
+        emissions = run_wearable(samples, ladder, endpoint, log_path)
+    else:
+        # Checked before the bind, so bad settings stop the run before any window closes.
         check_benchtop_settings(config.tick_ms, config.brownout_ticks)
-        receiver = UdpReceiver(EndpointConfig(bind_host="127.0.0.1", port=config.port))
-        # Port 0 binds an ephemeral port, so send to the one actually bound.
-        endpoint.port = receiver.port
-        benchtop_log = resolve_log_path(None, "benchtop")
-        benchtop_thread = threading.Thread(
-            target=run_benchtop,
-            kwargs=dict(
+        stop = threading.Event()
+        with UdpReceiver(endpoint) as receiver, ThreadPoolExecutor(max_workers=1) as pool:
+            benchtop = pool.submit(
+                run_benchtop,
                 receiver=receiver,
                 tick_ms=config.tick_ms,
                 brownout_ticks=config.brownout_ticks,
-                log_path=benchtop_log,
+                log_path=resolve_log_path(None, "benchtop"),
                 should_stop=stop.is_set,
-            ),
-            daemon=True,
-        )
-        benchtop_thread.start()
-
-    try:
-        emissions = run_wearable(
-            samples,
-            ladder=ladder,
-            endpoint=endpoint,
-            log_path=log_path,
-        )
-    finally:
-        if benchtop_thread is not None:
-            # Let the paired benchtop drain the last datagrams before stopping.
-            time.sleep(3.0 * config.tick_ms / 1000.0)
-            stop.set()
-            benchtop_thread.join(timeout=5.0)
-            receiver.close()
+            )
+            try:
+                # Port 0 binds an ephemeral port, so send to the one actually bound.
+                emissions = run_wearable(samples, ladder, EndpointConfig(config.host, receiver.port), log_path)
+                # Let the paired benchtop drain the last datagrams before stopping.
+                time.sleep(3.0 * config.tick_ms / 1000.0)
+            finally:
+                stop.set()
+            benchtop.result()  # re-raises the benchtop's own failure
     sent = sum(1 for e in emissions if e.byte_sent is not None)
     print(f"wearable: {len(emissions)} windows closed, {sent} bytes sent")
     return 0
@@ -243,10 +220,9 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
 
 def _cmd_benchtop(args: argparse.Namespace) -> int:
     config = _load_or_default(args, "benchtop")
-    endpoint = EndpointConfig(bind_host=config.host, port=config.port)
     log_path = resolve_log_path(config.log, "benchtop")
     steps = run_benchtop(
-        endpoint=endpoint,
+        endpoint=EndpointConfig(config.host, config.port),
         tick_ms=config.tick_ms,
         brownout_ticks=config.brownout_ticks,
         log_path=log_path,
@@ -291,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON node config file")
-        p.add_argument("--port", type=int, help="UDP port (default 8888)")
+        p.add_argument("--port", type=int, help=f"UDP port (default {DEFAULT_PORT})")
         p.add_argument("--log", help="session log path (JSON lines)")
 
     w = sub.add_parser("wearable", help="run the sensing/classifying node")
@@ -305,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--gsr", help="synthetic skin conductance in uS, START or START:END")
     w.add_argument("--ppg-noise", type=float, dest="ppg_noise", help="uniform PPG noise half-width")
     w.add_argument("--gsr-noise", type=float, dest="gsr_noise", help="uniform GSR noise half-width")
-    w.add_argument("--duplex", action="store_true", help="also run a benchtop in-process on the same port")
+    w.add_argument("--duplex", action="store_true", help="also run a benchtop in-process, bound to the address sent to")
     w.add_argument("--tick-ms", type=float, dest="tick_ms", help="duplex benchtop tick length")
     w.add_argument("--brownout-ticks", type=int, dest="brownout_ticks", help="duplex benchtop silence budget")
     w.set_defaults(func=_cmd_wearable)

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -21,16 +22,14 @@ from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccu
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
 from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import PhysioSample
-from .sim import SimStep, iter_steps
+from .sim import DEFAULT_TICK_MS, SimStep, iter_steps
 
 log = logging.getLogger(__name__)
 
-_ABSENT = InputSymbol.ABSENT  # bound once for the tick loop, as in fsm
 
-
-def _open_log(path: str | Path | None) -> IO[str] | None:
+def _open_log(path: str | Path | None) -> AbstractContextManager[IO[str] | None]:
     if path is None:
-        return None
+        return nullcontext()
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     return open(p, "w", encoding="utf-8")
@@ -76,26 +75,21 @@ def run_wearable(
     extractor = FeatureExtractor()
     accumulator = WindowAccumulator(ladder)
     emissions: list[WindowEmission] = []
-    log_file = _open_log(log_path)
-    try:
-        with UdpSender(endpoint) as sender:
-            def handle(closed_windows: list[ClosedWindow]) -> None:
-                for closed in closed_windows:
-                    emission = _emit_window(closed, ladder, sender)
-                    emissions.append(emission)
-                    if log_file is not None:
-                        log_file.write(json.dumps(emission.record()) + "\n")
+    with _open_log(log_path) as log_file, UdpSender(endpoint) as sender:
+        def handle(closed_windows: list[ClosedWindow]) -> None:
+            for closed in closed_windows:
+                emission = _emit_window(closed, ladder, sender)
+                emissions.append(emission)
+                if log_file is not None:
+                    log_file.write(json.dumps(emission.record()) + "\n")
 
-            for sample in samples:
-                frame = extractor.add(sample)
-                if frame is not None:
-                    handle(accumulator.add(frame))
-            handle(accumulator.flush())
-        if extractor.non_finite:
-            log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
-    finally:
-        if log_file is not None:
-            log_file.close()
+        for sample in samples:
+            frame = extractor.add(sample)
+            if frame is not None:
+                handle(accumulator.add(frame))
+        handle(accumulator.flush())
+    if extractor.non_finite:
+        log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
     return emissions
 
 
@@ -134,7 +128,7 @@ def check_benchtop_settings(tick_ms: float, brownout_ticks: int) -> None:
 
 def run_benchtop(
     endpoint: EndpointConfig | None = None,
-    tick_ms: float = 50.0,
+    tick_ms: float = DEFAULT_TICK_MS,
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
     log_path: str | Path | None = None,
     max_ticks: int | None = None,
@@ -143,25 +137,25 @@ def run_benchtop(
 ) -> list[SimStep]:
     """Tick the actuation machine against live datagrams until stopped.
 
+    Settings are checked before the log is opened or a socket bound. A
+    `receiver` passed in stays open; otherwise one binds `endpoint`.
     The schedule is fixed-rate: tick k ends at t0 + (k+1)·tick_ms, where t0
     is when ticking starts; a late tick polls for 0 s and the loop catches
-    up. A tick with nothing received is an ABSENT tick, so silence counts
-    in ticks of wall time. Stops after `max_ticks` if given, when
-    `should_stop` turns true at a tick boundary, or on Ctrl-C. Every tick
-    appends its `SimStep.line()` to the log, the simulator's trace line.
+    up. `poll_receive` gives ABSENT for a tick with nothing received, so
+    silence counts in ticks of wall time. Stops after `max_ticks` if given,
+    when `should_stop` turns true at a tick boundary, or on Ctrl-C. Every
+    tick appends its `SimStep.line()` to the log, the simulator's trace line.
     """
     check_benchtop_settings(tick_ms, brownout_ticks)
     if max_ticks is not None and max_ticks < 0:
         raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")
     steps: list[SimStep] = []
-    log_file = _open_log(log_path)
-    own_receiver = receiver is None
-    if own_receiver:
-        receiver = UdpReceiver(endpoint)
-    try:
-        log.info("benchtop listening on %s:%d", receiver.config.bind_host, receiver.port)
-        received = _received(receiver, tick_ms, max_ticks, should_stop)
-        for step in iter_steps(received, brownout_ticks):
+    with (
+        _open_log(log_path) as log_file,
+        UdpReceiver(endpoint) if receiver is None else nullcontext(receiver) as receiver,
+    ):
+        log.info("benchtop listening on %s:%d", receiver.config.host, receiver.port)
+        for step in iter_steps(_received(receiver, tick_ms, max_ticks, should_stop), brownout_ticks):
             steps.append(step)
             if log_file is not None:
                 log_file.write(step.line())
@@ -173,11 +167,6 @@ def run_benchtop(
                 step.command.color,
                 step.command.tone.value,
             )
-    finally:
-        if log_file is not None:
-            log_file.close()
-        if own_receiver:
-            receiver.close()
     return steps
 
 
@@ -199,4 +188,4 @@ def _received(
         except KeyboardInterrupt:
             log.info("benchtop interrupted, stopping")
             return
-        yield _ABSENT if received is None else received
+        yield received

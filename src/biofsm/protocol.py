@@ -3,8 +3,8 @@
 The wearable sends a single ASCII byte per decision: 'A', 'B' or 'C'. The
 benchtop decodes whatever arrives into an input symbol; decoding is total,
 so any unexpected payload (wrong byte, wrong length, empty datagram) maps to
-UNRECOGNIZED rather than raising. ABSENT is never produced by decoding: it
-is the receiver's own conclusion after a tick passes with no datagram.
+UNRECOGNIZED rather than raising. ABSENT is never produced by decoding:
+`UdpReceiver.poll_receive` returns it when a tick closes with no datagram.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .classifier import ArousalClass
 
 log = logging.getLogger(__name__)
 
+DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8888
 
 
@@ -56,14 +57,13 @@ def decode_payload(payload: bytes) -> InputSymbol:
 
 @dataclass
 class EndpointConfig:
-    """Addressing for one side of the UDP link.
+    """One address on the UDP link: a sender sends to it, a receiver binds it.
 
     Port 0 is accepted for receivers and requests an ephemeral bind; it is
     not a valid send destination.
     """
 
-    bind_host: str = "127.0.0.1"
-    peer_host: str = "127.0.0.1"
+    host: str = DEFAULT_HOST
     port: int = DEFAULT_PORT
 
     def __post_init__(self) -> None:
@@ -81,10 +81,10 @@ class UdpSender:
     def send_raw(self, payload: bytes) -> bool:
         """Send one datagram; a refused or failed send is logged and dropped."""
         try:
-            self._sock.sendto(payload, (self.config.peer_host, self.config.port))
+            self._sock.sendto(payload, (self.config.host, self.config.port))
             return True
         except OSError as exc:
-            log.warning("send to %s:%d failed: %s", self.config.peer_host, self.config.port, exc)
+            log.warning("send to %s:%d failed: %s", self.config.host, self.config.port, exc)
             return False
 
     def close(self) -> None:
@@ -107,16 +107,16 @@ class UdpReceiver:
     def __init__(self, config: EndpointConfig | None = None):
         self.config = config or EndpointConfig()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((self.config.bind_host, self.config.port))
+        self._sock.bind((self.config.host, self.config.port))
         self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
 
-    def poll_receive(self, timeout_s: float) -> InputSymbol | None:
+    def poll_receive(self, timeout_s: float) -> InputSymbol:
         """Collect datagrams for up to `timeout_s`; decode the newest one.
 
         Several datagrams landing in one tick collapse to the last: the
         benchtop reacts to the most recent report, not the backlog. Returns
-        None when the window closes with nothing received.
+        ABSENT when the window closes with nothing received.
         """
         deadline = time.monotonic() + timeout_s
         newest: bytes | None = None
@@ -134,9 +134,7 @@ class UdpReceiver:
         final = self._drain()
         if final is not None:
             newest = final
-        if newest is None:
-            return None
-        return decode_payload(newest)
+        return InputSymbol.ABSENT if newest is None else decode_payload(newest)
 
     def _drain(self) -> bytes | None:
         newest: bytes | None = None

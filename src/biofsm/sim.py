@@ -35,7 +35,7 @@ from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSen
 # about twenty times as much per token.
 _TOKENS = {symbol.value: symbol for symbol in InputSymbol}
 
-_ABSENT = InputSymbol.ABSENT  # bound once for the replay loop, as in fsm
+DEFAULT_TICK_MS = 50.0  # one tick of wall time on the live and wire paths
 
 
 class ScriptError(ValueError):
@@ -126,7 +126,7 @@ def serialize_trace(steps: Iterable[SimStep]) -> str:
 
 def replay_script(
     script: Sequence[InputSymbol],
-    tick_ms: float = 50.0,
+    tick_ms: float = DEFAULT_TICK_MS,
     drop_ticks: set[int] | None = None,
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
 ) -> list[SimStep]:
@@ -143,10 +143,9 @@ def replay_script(
         with UdpSender(endpoint) as sender:
             def observed() -> Iterator[InputSymbol]:
                 for index, symbol in enumerate(script):
-                    if symbol is not _ABSENT and index not in drop_ticks:
+                    if symbol is not InputSymbol.ABSENT and index not in drop_ticks:
                         sender.send_raw(PAYLOADS.get(symbol, b"?"))
-                    received = receiver.poll_receive(tick_ms / 1000.0)
-                    yield _ABSENT if received is None else received
+                    yield receiver.poll_receive(tick_ms / 1000.0)
 
             return list(iter_steps(observed(), brownout_ticks))
 

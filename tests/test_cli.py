@@ -49,8 +49,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         NodeConfig(role="gateway")
     with pytest.raises(ConfigError):
-        NodeConfig(role="wearable", source="mic")
-    with pytest.raises(ConfigError):
         NodeConfig.from_dict({"role": "wearable", "bogus_key": 1})
     with pytest.raises(ConfigError):
         NodeConfig.from_dict({"port": 9000})  # role is mandatory
@@ -120,7 +118,6 @@ FILE_FIELDS = {
     "brownout_ticks": 7,
     "window_ms": 12000.0,
     "log": "file.jsonl",
-    "source": "synth",
     "trace_path": "file.csv",
     "seed": 1,
     "duration_s": 30.0,
@@ -140,7 +137,7 @@ COMMON_VALUES = {"host": "10.0.0.2", "port": 9002, "tick_ms": 25.0, "brownout_ti
             "wearable",
             COMMON_FLAGS + ["--window-ms", "5000", "--trace", "flag.csv", "--seed", "2", "--duration-s", "60",
                             "--bpm", "80:100", "--gsr", "12", "--ppg-noise", "2", "--gsr-noise", "0.2"],
-            {**COMMON_VALUES, "window_ms": 5000.0, "source": "trace", "trace_path": "flag.csv", "seed": 2,
+            {**COMMON_VALUES, "window_ms": 5000.0, "trace_path": "flag.csv", "seed": 2,
              "duration_s": 60.0, "bpm": (80.0, 100.0), "gsr": (12.0, None), "ppg_noise": 2.0, "gsr_noise": 0.2},
         ),
         ("benchtop", COMMON_FLAGS + ["--max-ticks", "1"], COMMON_VALUES),
@@ -151,6 +148,14 @@ def test_each_flag_overrides_its_config_field(role, flags, overridden, tmp_path)
     path.write_text(json.dumps({"role": role, **FILE_FIELDS}))
     args = build_parser().parse_args([role, "--config", str(path), *flags])
     assert _load_or_default(args, role) == NodeConfig(role=role, **{**FILE_FIELDS, **overridden})
+
+
+def test_every_demo_config_loads_for_its_verb():
+    paths = sorted((Path(__file__).parent.parent / "demo").glob("*.json"))
+    assert [path.stem for path in paths] == ["benchtop", "wearable"]
+    for path in paths:
+        args = build_parser().parse_args([path.stem, "--config", str(path)])
+        assert _load_or_default(args, path.stem) == NodeConfig.from_dict(json.loads(path.read_text()))
 
 
 def test_resolve_log_path(monkeypatch, tmp_path):
@@ -299,6 +304,16 @@ def test_wearable_empty_trace_sends_nothing(tmp_path, capsys):
     assert "0 windows closed, 0 bytes sent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("window_ms", ["nan", "inf"])
+def test_wearable_rejects_a_non_finite_window_before_touching_its_log(window_ms, tmp_path, capsys):
+    log = tmp_path / "w.jsonl"
+    log.write_bytes(b'{"window": 0}\n')
+    args = ["wearable", "--window-ms", window_ms, "--log", str(log), "--port", str(free_udp_port())]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"error: window_ms must be finite and positive, got {window_ms}\n")
+    assert log.read_bytes() == b'{"window": 0}\n'
+
+
 @pytest.mark.parametrize("duration", ["nan", "inf"])
 def test_wearable_rejects_a_non_finite_duration(duration, capsys):
     assert main(["wearable", "--duration-s", duration, "--port", str(free_udp_port())]) == 2
@@ -442,6 +457,21 @@ def test_duplex_on_port_0_sends_to_the_bound_port(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out == f"wearable: {len(wearable_log)} windows closed, {decided} bytes sent\n"
     benchtop_log = read_jsonl(tmp_path / "benchtop.jsonl")
     assert any(r["input"] in {"A", "B", "C"} for r in benchtop_log)
+    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
+
+
+def test_duplex_benchtop_failure_exits_1(tmp_path, monkeypatch, capsys):
+    (tmp_path / "benchtop.jsonl").mkdir()
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    assert main(["wearable", "--duplex", "--port", "0", "--duration-s", "20"]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path / 'benchtop.jsonl'}'\n")
+
+
+def test_duplex_benchtop_binds_the_host_sent_to(tmp_path, monkeypatch):
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    flags = ["--seed", "5", "--duration-s", "40", "--bpm", "70", "--gsr", "17.5", "--tick-ms", "25"]
+    assert main(["wearable", "--duplex", "--host", "127.0.0.2", "--port", "0", *flags]) == 0
+    assert any(r["input"] == "B" for r in read_jsonl(tmp_path / "benchtop.jsonl"))
     assert_simulator_agrees(tmp_path / "benchtop.jsonl")
 
 

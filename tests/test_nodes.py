@@ -9,7 +9,7 @@ from biofsm import nodes
 from biofsm.classifier import FeatureExtractor
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS, BenchState
 from biofsm.nodes import run_benchtop, run_wearable
-from biofsm.protocol import EndpointConfig
+from biofsm.protocol import EndpointConfig, InputSymbol
 from biofsm.signals import Channel, SignalProfile, synth_physio
 
 
@@ -98,7 +98,7 @@ class StubReceiver:
         self.timeouts.append(timeout_s)
         self.clock.now += timeout_s + OVERSHOOT_S
         self.ends.append(self.clock.now)
-        return None
+        return InputSymbol.ABSENT
 
 
 def run_on_fake_clock(monkeypatch, ticks, pauses=None):

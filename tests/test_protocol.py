@@ -63,9 +63,9 @@ def test_loopback_delivery():
             assert receiver.poll_receive(0.5) is InputSymbol.VALID_C
 
 
-def test_poll_returns_none_on_silence():
+def test_poll_returns_absent_on_silence():
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
-        assert receiver.poll_receive(0.05) is None
+        assert receiver.poll_receive(0.05) is InputSymbol.ABSENT
 
 
 def test_newest_datagram_wins_within_a_tick():
@@ -75,7 +75,7 @@ def test_newest_datagram_wins_within_a_tick():
                 sender.send_raw(encode_class(cls))
             assert receiver.poll_receive(0.3) is InputSymbol.VALID_C
         # the backlog was drained, nothing left for the next tick
-        assert receiver.poll_receive(0.05) is None
+        assert receiver.poll_receive(0.05) is InputSymbol.ABSENT
 
 
 def test_unknown_byte_on_the_wire_decodes_unrecognized():
