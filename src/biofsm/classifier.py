@@ -37,42 +37,30 @@ class FeatureFrame:
     gsr_us: float
 
 
+# The threshold ladder. Bands are half-open on the right below the top edge;
+# the top edge itself is included so that a reading exactly at the supported
+# maximum still lands in the HIGH band. The two weights total 1.
+HR_RANGE = (60.0, 120.0)
+HR_SPLITS = (85.0, 105.0)
+HR_WEIGHT = 0.4
+GSR_RANGE = (0.0, 25.0)
+GSR_SPLITS = (15.0, 20.0)
+GSR_WEIGHT = 0.6
+
+
 @dataclass
 class LadderConfig:
-    """Band edges and weights for the threshold ladder.
+    """The window length frames vote in; band edges and weights are the constants above."""
 
-    Bands are half-open on the right below the top edge; the top edge itself
-    is included so that a reading exactly at the supported maximum still
-    lands in the HIGH band. hr_weight + gsr_weight must total 1.
-    """
-
-    hr_range: tuple[float, float] = (60.0, 120.0)
-    hr_splits: tuple[float, float] = (85.0, 105.0)
-    gsr_range: tuple[float, float] = (0.0, 25.0)
-    gsr_splits: tuple[float, float] = (15.0, 20.0)
-    hr_weight: float = 0.4
-    gsr_weight: float = 0.6
     window_ms: float = DEFAULT_WINDOW_MS
 
     def __post_init__(self) -> None:
-        for name, (lo, hi), (s0, s1) in (
-            ("hr", self.hr_range, self.hr_splits),
-            ("gsr", self.gsr_range, self.gsr_splits),
-        ):
-            if not (lo < s0 < s1 < hi):
-                raise ValueError(f"{name} splits {s0}, {s1} must sit strictly inside ({lo}, {hi})")
-        if self.hr_weight < 0 or self.gsr_weight < 0:
-            raise ValueError("weights must be non-negative")
-        if abs(self.hr_weight + self.gsr_weight - 1.0) > 1e-9:
-            raise ValueError("hr_weight + gsr_weight must equal 1")
         if not (math.isfinite(self.window_ms) and self.window_ms > 0):
             raise ValueError(f"window_ms must be finite and positive, got {self.window_ms!r}")
 
-    def frame_in_range(self, frame: FeatureFrame) -> bool:
-        return (
-            self.hr_range[0] <= frame.bpm <= self.hr_range[1]
-            and self.gsr_range[0] <= frame.gsr_us <= self.gsr_range[1]
-        )
+
+def frame_in_range(frame: FeatureFrame) -> bool:
+    return HR_RANGE[0] <= frame.bpm <= HR_RANGE[1] and GSR_RANGE[0] <= frame.gsr_us <= GSR_RANGE[1]
 
 
 def _band(value: float, value_range: tuple[float, float], splits: tuple[float, float], name: str) -> ArousalClass:
@@ -86,11 +74,11 @@ def _band(value: float, value_range: tuple[float, float], splits: tuple[float, f
     return ArousalClass.HIGH
 
 
-def score_frame(frame: FeatureFrame, config: LadderConfig) -> list[float]:
+def score_frame(frame: FeatureFrame) -> list[float]:
     """Weighted one-hot scores [normal, mild, high] for a single frame."""
     scores = [0.0, 0.0, 0.0]
-    scores[_band(frame.bpm, config.hr_range, config.hr_splits, "heart rate")] += config.hr_weight
-    scores[_band(frame.gsr_us, config.gsr_range, config.gsr_splits, "skin conductance")] += config.gsr_weight
+    scores[_band(frame.bpm, HR_RANGE, HR_SPLITS, "heart rate")] += HR_WEIGHT
+    scores[_band(frame.gsr_us, GSR_RANGE, GSR_SPLITS, "skin conductance")] += GSR_WEIGHT
     return scores
 
 
@@ -115,15 +103,15 @@ def classify_window(
 
     Out-of-range frames are dropped. With no usable frames the window is
     undecidable and None is returned. Ties resolve to the lower class, i.e.
-    the calmer interpretation wins.
+    the calmer interpretation wins. `config` is unread, as the ladder is
+    fixed; it stays because bench/replay.py passes a LadderConfig there.
     """
-    config = config or LadderConfig()
-    used = [frame for frame in frames if config.frame_in_range(frame)]
+    used = [frame for frame in frames if frame_in_range(frame)]
     if not used:
         return None
     totals = [0.0, 0.0, 0.0]
     for frame in used:
-        for k, s in enumerate(score_frame(frame, config)):
+        for k, s in enumerate(score_frame(frame)):
             totals[k] += s
     best = ArousalClass.NORMAL
     for cls in (ArousalClass.MILD, ArousalClass.HIGH):

@@ -71,14 +71,13 @@ def run_wearable(
     value or timestamp are skipped, and their count is logged once at the
     end. An empty stream emits nothing and returns cleanly.
     """
-    ladder = ladder or LadderConfig()
     extractor = FeatureExtractor()
     accumulator = WindowAccumulator(ladder)
     emissions: list[WindowEmission] = []
     with _open_log(log_path) as log_file, UdpSender(endpoint) as sender:
         def handle(closed_windows: list[ClosedWindow]) -> None:
             for closed in closed_windows:
-                emission = _emit_window(closed, ladder, sender)
+                emission = _emit_window(closed, sender)
                 emissions.append(emission)
                 if log_file is not None:
                     log_file.write(json.dumps(emission.record()) + "\n")
@@ -93,8 +92,8 @@ def run_wearable(
     return emissions
 
 
-def _emit_window(closed: ClosedWindow, ladder: LadderConfig, sender: UdpSender) -> WindowEmission:
-    decision = classify_window(closed.frames, ladder, closed.window_index)
+def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowEmission:
+    decision = classify_window(closed.frames, window_index=closed.window_index)
     if decision is None:
         log.info("window %d: no usable frames, nothing sent", closed.window_index)
         return WindowEmission(closed.window_index, 0, None, None, None, None)

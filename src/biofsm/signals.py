@@ -60,20 +60,14 @@ class BeatEvent:
     inter_beat_interval_ms: float | None = None
 
 
-@dataclass
-class DetectorConfig:
-    """Tuning constants for the beat detector.
-
-    The original embedded implementation publishes no constants; these are
-    stand-ins chosen for a 50 samples/s stream and a 60-120 BPM signal.
-    """
-
-    dc_coefficient: float = 0.95     # single-pole baseline tracker, weight of old estimate
-    threshold_fraction: float = 0.5  # beat threshold as a fraction of the AC peak envelope
-    envelope_decay: float = 0.995    # per-sample decay of the peak envelope
-    min_threshold: float = 1e-6      # strictly positive floor; ignores numerical dust on flat input
-    refractory_ms: float = 300.0     # minimum spacing between declared beats
-    rearm_level: float = 0.0         # AC must dip below this before the next crossing can fire
+# Beat detector tuning. The original embedded implementation publishes none;
+# these are stand-ins chosen for a 50 samples/s stream and a 60-120 BPM signal.
+DC_COEFFICIENT = 0.95      # single-pole baseline tracker, weight of old estimate
+THRESHOLD_FRACTION = 0.5   # beat threshold as a fraction of the AC peak envelope
+ENVELOPE_DECAY = 0.995     # per-sample decay of the peak envelope
+MIN_THRESHOLD = 1e-6       # strictly positive floor; ignores numerical dust on flat input
+REFRACTORY_MS = 300.0      # minimum spacing between declared beats
+REARM_LEVEL = 0.0          # AC must dip below this before the next crossing can fire
 
 
 class BeatDetector:
@@ -84,13 +78,10 @@ class BeatDetector:
     value rises through a threshold derived from a decaying envelope of past
     AC peaks. Two guards prevent double counting: a refractory period after
     each accepted beat, and a re-arm rule requiring the AC value to fall back
-    below baseline between beats.
+    below baseline between beats. The tuning is the module constants above.
     """
 
-    def __init__(self, config: DetectorConfig | None = None):
-        self.config = config or DetectorConfig()
-        if self.config.min_threshold <= 0:
-            raise ValueError("min_threshold must be strictly positive")
+    def __init__(self):
         self.dc_estimate: float | None = None
         self.ac_value: float = 0.0
         self.envelope: float = 0.0
@@ -109,10 +100,9 @@ class BeatDetector:
             raise SampleOrderError(f"PPG timestamp {timestamp} not after {last_timestamp}")
         self.last_timestamp_ms = timestamp
 
-        cfg = self.config
         value = sample.value
         dc = self.dc_estimate
-        dc = value if dc is None else cfg.dc_coefficient * dc + (1.0 - cfg.dc_coefficient) * value
+        dc = value if dc is None else DC_COEFFICIENT * dc + (1.0 - DC_COEFFICIENT) * value
         self.dc_estimate = dc
         self.ac_value = ac = value - dc
 
@@ -122,23 +112,23 @@ class BeatDetector:
         # each comparison below takes b only when b > a, so ties and NaN
         # keep a.
         envelope = self.envelope
-        threshold = cfg.threshold_fraction * envelope
-        if cfg.min_threshold > threshold:
-            threshold = cfg.min_threshold
+        threshold = THRESHOLD_FRACTION * envelope
+        if MIN_THRESHOLD > threshold:
+            threshold = MIN_THRESHOLD
 
         beat: BeatEvent | None = None
         if self._armed and ac >= threshold:
             self._armed = False
             last_crossing = self.last_crossing_ms
-            if last_crossing is None or timestamp - last_crossing >= cfg.refractory_ms:
+            if last_crossing is None or timestamp - last_crossing >= REFRACTORY_MS:
                 interval = None if last_crossing is None else timestamp - last_crossing
                 beat = BeatEvent(self.beat_count, timestamp, interval)
                 self.beat_count += 1
                 self.last_crossing_ms = timestamp
-        elif not self._armed and ac < cfg.rearm_level:
+        elif not self._armed and ac < REARM_LEVEL:
             self._armed = True
 
-        envelope *= cfg.envelope_decay
+        envelope *= ENVELOPE_DECAY
         self.envelope = ac if ac > envelope else envelope
         return beat
 
@@ -170,26 +160,27 @@ class GsrCollector:
         return sum(self._samples) / GSR_WINDOW_SIZE
 
 
+PPG_RATE_HZ = 50.0      # synthetic sample rates
+GSR_RATE_HZ = 10.0
+PPG_AMPLITUDE = 100.0   # synthetic PPG sinusoid, and the DC offset it rides on
+PPG_OFFSET = 1000.0
+
+
 @dataclass
 class SignalProfile:
     """Target trajectories for the synthetic signal generator.
 
-    Rates and levels ramp linearly from the start value to the end value over
-    the stream duration; leaving an end value unset keeps the start value
-    constant. Noise values are half-widths of uniform noise added per sample.
+    Heart rate and conductance ramp linearly from start to end over the
+    stream duration; an unset end keeps the start value. Noise values are
+    half-widths of uniform noise added per sample.
     """
 
     bpm_start: float = 60.0
     bpm_end: float | None = None
     gsr_start_us: float = 5.0
     gsr_end_us: float | None = None
-    ppg_amplitude: float = 100.0
-    ppg_offset: float = 1000.0
-    ppg_drift_per_s: float = 0.0
     ppg_noise: float = 0.0
     gsr_noise_us: float = 0.0
-    ppg_rate_hz: float = 50.0
-    gsr_rate_hz: float = 10.0
 
 
 def _ramp(start: float, end: float | None, t_ms: float, duration_ms: float) -> float:
@@ -202,30 +193,31 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
     """Generate a merged, timestamp-ordered PPG + GSR stream.
 
     Deterministic for a given (profile, duration, seed): equal inputs yield
-    bit-identical streams. The PPG waveform is a sinusoid whose instantaneous
-    frequency follows the BPM trajectory, riding on a configurable DC offset
-    and drift; the GSR stream tracks its level trajectory.
+    bit-identical streams. The PPG waveform is a PPG_AMPLITUDE sinusoid whose
+    instantaneous frequency follows the BPM trajectory, riding on PPG_OFFSET;
+    the GSR stream tracks its level trajectory. Bad settings raise ValueError
+    at the call, before the first sample is asked for.
     """
-    positive = {"duration_ms": duration_ms, "ppg_rate_hz": profile.ppg_rate_hz,
-                "gsr_rate_hz": profile.gsr_rate_hz, "bpm_start": profile.bpm_start, "bpm_end": profile.bpm_end}
+    positive = {"duration_ms": duration_ms, "bpm_start": profile.bpm_start, "bpm_end": profile.bpm_end}
     for name, x in positive.items():
         if x is not None and not 0 < x < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {x!r}")
     finite = {"gsr_start_us": profile.gsr_start_us, "gsr_end_us": profile.gsr_end_us,
-              "ppg_amplitude": profile.ppg_amplitude, "ppg_offset": profile.ppg_offset,
-              "ppg_drift_per_s": profile.ppg_drift_per_s, "ppg_noise": profile.ppg_noise,
-              "gsr_noise_us": profile.gsr_noise_us}
+              "ppg_noise": profile.ppg_noise, "gsr_noise_us": profile.gsr_noise_us}
     for name, x in finite.items():
         if x is not None and not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x!r}")
     for name in ("ppg_noise", "gsr_noise_us"):
         if finite[name] < 0:
             raise ValueError(f"{name} must be non-negative, got {finite[name]!r}")
+    return _synth(profile, duration_ms, seed)
 
+
+def _synth(profile: SignalProfile, duration_ms: float, seed: int) -> Iterator[PhysioSample]:
     rng_ppg = random.Random(f"{seed}/ppg")
     rng_gsr = random.Random(f"{seed}/gsr")
-    ppg_dt_ms = 1000.0 / profile.ppg_rate_hz
-    gsr_dt_ms = 1000.0 / profile.gsr_rate_hz
+    ppg_dt_ms = 1000.0 / PPG_RATE_HZ
+    gsr_dt_ms = 1000.0 / GSR_RATE_HZ
 
     n_ppg = int(duration_ms / ppg_dt_ms)
     n_gsr = int(duration_ms / gsr_dt_ms)
@@ -237,11 +229,7 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
         t_gsr = j * gsr_dt_ms if j < n_gsr else math.inf
         if t_ppg <= t_gsr:
             bpm = _ramp(profile.bpm_start, profile.bpm_end, t_ppg, duration_ms)
-            value = (
-                profile.ppg_offset
-                + profile.ppg_drift_per_s * (t_ppg / 1000.0)
-                + profile.ppg_amplitude * math.sin(phase)
-            )
+            value = PPG_OFFSET + PPG_AMPLITUDE * math.sin(phase)
             if profile.ppg_noise > 0:
                 value += rng_ppg.uniform(-profile.ppg_noise, profile.ppg_noise)
             yield PhysioSample(t_ppg, _PPG, value)

@@ -271,8 +271,8 @@ class AccuracyReport:
 def evaluate_table3(records: Sequence[TraceRecord]) -> AccuracyReport:
     """Exact-match accuracy per clip plus the overall mean.
 
-    Every clip must carry exactly the expected number of intervals; partial
-    fixtures indicate a corrupted file and are rejected.
+    Every clip must carry exactly the expected number of intervals, none of
+    them twice; partial fixtures indicate a corrupted file and are rejected.
     """
     by_clip: dict[int, list[TraceRecord]] = {}
     for record in records:
@@ -286,6 +286,10 @@ def evaluate_table3(records: Sequence[TraceRecord]) -> AccuracyReport:
             raise ValueError(
                 f"clip {clip_id} has {len(rows)} intervals, expected {FIXTURE_INTERVALS_PER_CLIP}"
             )
+        intervals = [r.interval_index for r in rows]
+        for k, interval in enumerate(intervals):
+            if interval in intervals[:k]:
+                raise ValueError(f"clip {clip_id} repeats interval {interval}")
         matches = sum(1 for r in rows if r.self_report == r.predicted)
         clips.append(ClipAccuracy(clip_id, matches, len(rows), REPORTED_ACCURACY.get(clip_id)))
     return AccuracyReport(clips, REPORTED_AVERAGE)

@@ -9,7 +9,7 @@ import json
 import time
 from statistics import median
 
-from biofsm.classifier import ArousalClass, FeatureExtractor, LadderConfig, score_frame, FeatureFrame
+from biofsm.classifier import ArousalClass, FeatureExtractor, score_frame, FeatureFrame
 from biofsm.fsm import (
     DEFAULT_BROWNOUT_TICKS,
     BenchState,
@@ -199,11 +199,10 @@ def test_criterion_6_gsr_smoother_exact_and_linear():
 
 
 def test_criterion_7_mild_outweighs_normal_in_the_overlap():
-    config = LadderConfig()
     violations = []
     for bpm in (60.0, 70.0, 80.0, 84.9):
         for gsr in (15.0, 16.0, 17.5, 19.9):
-            scores = score_frame(FeatureFrame(0, 0.0, bpm, gsr), config)
+            scores = score_frame(FeatureFrame(0, 0.0, bpm, gsr))
             if not scores[ArousalClass.MILD] > scores[ArousalClass.NORMAL]:
                 violations.append(f"bpm={bpm}, gsr={gsr}: {scores}")
     _check(

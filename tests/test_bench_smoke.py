@@ -5,8 +5,10 @@ assert the result line's shape and correctness, never a timing, so host
 noise cannot fail them. The `replay` run covers `load_trace`, `run_wearable`
 and the sink's in-order check of every emitted byte; the `live` run covers
 the sender process, UDP polling and the benchtop tick loop. The traced
-`script` run covers the bench's own `FsmRuntime()` and `tick` loop; it
-writes its spans to the gitignored `.bench_out/spans-script-1.jsonl`.
+`script` run covers the bench's own `FsmRuntime()` and `tick` loop, and the
+traced `replay` run its per-layer passes, which call `BeatDetector()`,
+`WindowAccumulator()` and `classify_window(frames, LadderConfig(), index)`
+directly. Traced runs write their spans to the gitignored `.bench_out/`.
 """
 
 import json
@@ -57,3 +59,11 @@ def test_traced_script_workload_reports_its_per_layer_metrics():
     assert result["failed"] == 0
     assert result["metrics"]["fsm.tick_ns"]["value"] > 0
     assert result["metrics"]["fsm.verify_determinism_ms"]["value"] > 0
+
+
+def test_traced_replay_workload_reports_its_per_layer_metrics():
+    result = run_tiny("replay", "--trace", "1")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["classifier.classify_window_us"]["value"] > 0
+    assert result["metrics"]["classifier.frames_used"]["value"] > 0

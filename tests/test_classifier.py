@@ -4,6 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biofsm.classifier import (
+    GSR_RANGE,
+    GSR_SPLITS,
+    GSR_WEIGHT,
+    HR_RANGE,
+    HR_SPLITS,
+    HR_WEIGHT,
     ArousalClass,
     FeatureExtractor,
     FeatureFrame,
@@ -12,27 +18,22 @@ from biofsm.classifier import (
     classify_window,
     score_frame,
 )
-from biofsm.signals import Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
+from biofsm.signals import MIN_THRESHOLD, Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
 
 
 def frame(bpm, gsr, index=0, ts=0.0):
     return FeatureFrame(index, ts, bpm, gsr)
 
 
-# With all the weight on one channel, a frame's scores are one-hot on that
-# channel's band.
-HR_ONLY = LadderConfig(hr_weight=1.0, gsr_weight=0.0)
-GSR_ONLY = LadderConfig(hr_weight=0.0, gsr_weight=1.0)
-
-
-def one_hot(band):
-    return [1.0 if k == band else 0.0 for k in ArousalClass]
+def split(hr_band, gsr_band):
+    """A frame's scores on the fixed ladder: 0.4 on its heart-rate band, 0.6 on its conductance band."""
+    return [0.4 * (k == hr_band) + 0.6 * (k == gsr_band) for k in ArousalClass]
 
 
 def test_mild_hr_with_mild_gsr_outweighs_normal():
     # HR in the calm band but conductance elevated: the heavier GSR weight
     # must tip the decision to MILD.
-    scores = score_frame(frame(70.0, 17.5), LadderConfig())
+    scores = score_frame(frame(70.0, 17.5))
     assert scores == [0.4, 0.6, 0.0]
     decision = classify_window([frame(70.0, 17.5)])
     assert decision is not None
@@ -69,7 +70,7 @@ def test_elevated_frame_is_high():
     ],
 )
 def test_heart_rate_band_edges(bpm, band):
-    assert score_frame(frame(bpm, 10.0), HR_ONLY) == one_hot(band)
+    assert score_frame(frame(bpm, 10.0)) == split(band, ArousalClass.NORMAL)
 
 
 @pytest.mark.parametrize(
@@ -84,20 +85,20 @@ def test_heart_rate_band_edges(bpm, band):
     ],
 )
 def test_gsr_band_edges(gsr, band):
-    assert score_frame(frame(70.0, gsr), GSR_ONLY) == one_hot(band)
+    assert score_frame(frame(70.0, gsr)) == split(ArousalClass.NORMAL, band)
 
 
 @pytest.mark.parametrize("bpm", [59.9, 120.1])
 def test_heart_rate_outside_range_raises(bpm):
     with pytest.raises(ValueError) as excinfo:
-        score_frame(frame(bpm, 10.0), LadderConfig())
+        score_frame(frame(bpm, 10.0))
     assert str(excinfo.value) == f"heart rate {bpm} outside supported range [60.0, 120.0]"
 
 
 @pytest.mark.parametrize("gsr", [-0.1, 25.1])
 def test_gsr_outside_range_raises(gsr):
     with pytest.raises(ValueError) as excinfo:
-        score_frame(frame(70.0, gsr), LadderConfig())
+        score_frame(frame(70.0, gsr))
     assert str(excinfo.value) == f"skin conductance {gsr} outside supported range [0.0, 25.0]"
 
 
@@ -111,7 +112,7 @@ def test_window_vote_matches_manual_summation():
     # (118, 24) frame puts the full 1.0 on HIGH. Totals: [4.0, 6.0, 5.0].
     expected = [0.0, 0.0, 0.0]
     for f in mild_frames + high_frames:
-        for k, score in enumerate(score_frame(f, config)):
+        for k, score in enumerate(score_frame(f)):
             expected[k] += score
     assert decision.score_vector == pytest.approx(expected)
     assert expected == pytest.approx([4.0, 6.0, 5.0])
@@ -142,10 +143,12 @@ def test_window_with_nothing_usable_is_undecidable():
 
 
 def test_ties_resolve_to_the_lower_class():
-    even = LadderConfig(hr_weight=0.5, gsr_weight=0.5)
-    low_vs_high = classify_window([frame(70.0, 24.0)], even)
+    # Each pair puts 0.4 + 0.6 on both classes it names.
+    low_vs_high = classify_window([frame(70.0, 24.0), frame(110.0, 10.0)])
+    assert low_vs_high.score_vector == [1.0, 0.0, 1.0]
     assert low_vs_high.arousal is ArousalClass.NORMAL
-    mild_vs_high = classify_window([frame(110.0, 17.5)], even)
+    mild_vs_high = classify_window([frame(90.0, 24.0), frame(110.0, 17.5)])
+    assert mild_vs_high.score_vector == [0.0, 1.0, 1.0]
     assert mild_vs_high.arousal is ArousalClass.MILD
 
 
@@ -179,15 +182,15 @@ def test_raising_heart_rate_never_lowers_the_class(bpms, gsr):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LadderConfig(hr_splits=(50.0, 105.0))  # split below range
-    with pytest.raises(ValueError):
-        LadderConfig(gsr_splits=(20.0, 15.0))  # out of order
-    with pytest.raises(ValueError):
-        LadderConfig(hr_weight=0.7, gsr_weight=0.7)  # weights don't sum to 1
-    with pytest.raises(ValueError):
-        LadderConfig(hr_weight=-0.2, gsr_weight=1.2)
-    with pytest.raises(ValueError):
         LadderConfig(window_ms=0.0)
+
+
+def test_fixed_tuning_keeps_its_invariants():
+    for (lo, hi), (s0, s1) in ((HR_RANGE, HR_SPLITS), (GSR_RANGE, GSR_SPLITS)):
+        assert lo < s0 < s1 < hi
+    assert HR_WEIGHT >= 0 and GSR_WEIGHT >= 0
+    assert abs(HR_WEIGHT + GSR_WEIGHT - 1.0) <= 1e-9
+    assert MIN_THRESHOLD > 0
 
 
 def test_accumulator_closes_back_to_back_windows():

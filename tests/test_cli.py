@@ -242,6 +242,16 @@ def test_evaluate_json(capsys):
     assert payload["discrepancy_clips"] == [1, 2, 3]
 
 
+def test_evaluate_rejects_a_clip_that_repeats_an_interval(tmp_path, capsys):
+    # Clip 1 drops interval 5 and carries interval 4 twice: still 16 rows.
+    bundled = (Path(__file__).resolve().parents[1] / "src/biofsm/data/table3.csv").read_text()
+    assert "\n1,5,NORMAL,NORMAL\n" in bundled
+    fixture = tmp_path / "fixture.csv"
+    fixture.write_text(bundled.replace("\n1,5,NORMAL,NORMAL\n", "\n1,4,MILD,MILD\n"))
+    assert main(["evaluate", "--fixture", str(fixture)]) == 2
+    assert capsys.readouterr() == ("", "error: clip 1 repeats interval 4\n")
+
+
 def test_wearable_synthetic_run_sends_class_bytes(tmp_path, capsys):
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink:
         sink.bind(("127.0.0.1", 0))
@@ -332,6 +342,25 @@ def test_wearable_rejects_a_non_finite_duration(duration, capsys):
 def test_wearable_rejects_bad_synthesis_parameters(flags, message, capsys):
     assert main(["wearable", *flags, "--duration-s", "60", "--port", str(free_udp_port())]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--bpm", "nan", "--log", "w.jsonl"], "bpm_start must be finite and positive, got nan"),
+        (["--duration-s", "0", "--log", "w.jsonl"], "duration_ms must be finite and positive, got 0.0"),
+        (["--duplex", "--ppg-noise", "-1"], "ppg_noise must be non-negative, got -1.0"),
+    ],
+    ids=["bpm-nan", "duration-0", "duplex-negative-noise"],
+)
+def test_wearable_rejects_a_synthesis_setting_before_touching_any_log(flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    logs = {name: f'{{"{name}": 0}}\n'.encode() for name in ("w.jsonl", "wearable.jsonl", "benchtop.jsonl")}
+    for name, content in logs.items():
+        (tmp_path / name).write_bytes(content)
+    assert main(["wearable", "--port", "0", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == logs
 
 
 def test_wearable_trace_replay(tmp_path):

@@ -8,11 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from biofsm.classifier import FeatureExtractor
 from biofsm.signals import (
+    DC_COEFFICIENT,
+    ENVELOPE_DECAY,
     GSR_WINDOW_SIZE,
+    MIN_THRESHOLD,
+    PPG_RATE_HZ,
+    REARM_LEVEL,
+    REFRACTORY_MS,
+    THRESHOLD_FRACTION,
     BeatDetector,
     BeatEvent,
     Channel,
-    DetectorConfig,
     GsrCollector,
     PhysioSample,
     SampleOrderError,
@@ -103,8 +109,13 @@ def test_noisy_beat_rate_within_five_bpm(target_bpm):
 
 
 def test_baseline_drift_does_not_disturb_detection():
-    profile = SignalProfile(bpm_start=60.0, ppg_drift_per_s=50.0)
-    estimates = detect_bpms(profile, 60_000, seed=2)
+    # The PPG baseline climbs 0.05 units/ms (50/s), added to the synthesized values.
+    drifting = (
+        PhysioSample(s.timestamp_ms, s.channel, s.value + 0.05 * s.timestamp_ms) if s.channel is Channel.PPG else s
+        for s in synth_physio(SignalProfile(bpm_start=60.0), 60_000, seed=2)
+    )
+    frames = map(FeatureExtractor().add, drifting)
+    estimates = [frame.bpm for frame in frames if frame is not None][2:]
     assert abs(median(estimates) - 60.0) <= 2.0
 
 
@@ -143,7 +154,7 @@ def test_ramp_estimates_rise_monotonically():
     # in (-2*dt, 2*dt). On a rising rate the true gap does not grow, so a
     # gap exceeds the one before it by at most one dt.
     profile = SignalProfile(bpm_start=60.0, bpm_end=110.0)
-    dt_ms = 1000.0 / profile.ppg_rate_hz
+    dt_ms = 1000.0 / PPG_RATE_HZ
     estimates = detect_bpms(profile, 120_000, seed=5)
     assert estimates[-1] - estimates[0] > 30.0
     for previous, current in zip(estimates, estimates[1:]):
@@ -154,8 +165,7 @@ class ReferenceDetector:
     """`BeatDetector.step` as it read before it was inlined: a `threshold`
     property and two `max` calls, kept as the reference."""
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self.dc_estimate = None
         self.ac_value = 0.0
         self.envelope = 0.0
@@ -166,15 +176,14 @@ class ReferenceDetector:
 
     @property
     def threshold(self):
-        return max(self.config.threshold_fraction * self.envelope, self.config.min_threshold)
+        return max(THRESHOLD_FRACTION * self.envelope, MIN_THRESHOLD)
 
     def step(self, sample):
         self.last_timestamp_ms = sample.timestamp_ms
-        cfg = self.config
         if self.dc_estimate is None:
             self.dc_estimate = sample.value
         else:
-            self.dc_estimate = cfg.dc_coefficient * self.dc_estimate + (1.0 - cfg.dc_coefficient) * sample.value
+            self.dc_estimate = DC_COEFFICIENT * self.dc_estimate + (1.0 - DC_COEFFICIENT) * sample.value
         self.ac_value = sample.value - self.dc_estimate
         threshold = self.threshold
         beat = None
@@ -182,7 +191,7 @@ class ReferenceDetector:
             self._armed = False
             if (
                 self.last_crossing_ms is None
-                or sample.timestamp_ms - self.last_crossing_ms >= cfg.refractory_ms
+                or sample.timestamp_ms - self.last_crossing_ms >= REFRACTORY_MS
             ):
                 interval = None
                 if self.last_crossing_ms is not None:
@@ -190,9 +199,9 @@ class ReferenceDetector:
                 beat = BeatEvent(self.beat_count, sample.timestamp_ms, interval)
                 self.beat_count += 1
                 self.last_crossing_ms = sample.timestamp_ms
-        elif not self._armed and self.ac_value < cfg.rearm_level:
+        elif not self._armed and self.ac_value < REARM_LEVEL:
             self._armed = True
-        self.envelope = max(self.envelope * cfg.envelope_decay, self.ac_value)
+        self.envelope = max(self.envelope * ENVELOPE_DECAY, self.ac_value)
         return beat
 
 
@@ -211,31 +220,21 @@ def event_bits(event):
 
 
 # A small pool of exact values makes repeats, zeros of both signs and ties
-# with `min_threshold` and the decayed envelope common; large finite floats
-# can still overflow `ac` to infinity.
+# with `MIN_THRESHOLD`, `REARM_LEVEL` and the decayed envelope common; large
+# finite floats can still overflow `ac` to infinity.
 TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0, -1.0, 1e-6])
-DETECTOR_CONFIGS = st.builds(
-    DetectorConfig,
-    dc_coefficient=st.sampled_from([0.95, 0.5, 1.0, 0.0]),
-    threshold_fraction=st.sampled_from([0.5, 1.0]),
-    envelope_decay=st.sampled_from([0.995, 0.5, 1.0]),
-    min_threshold=st.sampled_from([1e-6, 0.5, 1.0]),
-    refractory_ms=st.sampled_from([300.0, 40.0, 0.0]),
-    rearm_level=st.sampled_from([0.0, -1.0, 1.0]),
-)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    DETECTOR_CONFIGS,
     st.integers(0, 1000),
     st.lists(
         st.tuples(st.integers(1, 400), st.one_of(TIE_VALUES, st.floats(allow_nan=False, allow_infinity=False))),
         max_size=120,
     ),
 )
-def test_detector_steps_like_the_reference(config, start_ms, steps):
-    detector, reference = BeatDetector(config), ReferenceDetector(config)
+def test_detector_steps_like_the_reference(start_ms, steps):
+    detector, reference = BeatDetector(), ReferenceDetector()
     timestamps = itertools.accumulate((gap for gap, _ in steps), initial=start_ms)
     for timestamp, (_, value) in zip(timestamps, steps):
         sample = PhysioSample(float(timestamp), Channel.PPG, value)
@@ -329,13 +328,16 @@ def test_synthesis_rejects_bad_parameters():
     with pytest.raises(ValueError):
         list(synth_physio(SignalProfile(), 0, seed=0))
     with pytest.raises(ValueError):
-        list(synth_physio(SignalProfile(ppg_rate_hz=0.0), 1000, seed=0))
-    with pytest.raises(ValueError):
         list(synth_physio(SignalProfile(bpm_start=0.0), 1000, seed=0))
 
 
-POSITIVE_FIELDS = ["duration_ms", "ppg_rate_hz", "gsr_rate_hz", "bpm_start", "bpm_end"]
-FINITE_FIELDS = ["gsr_start_us", "gsr_end_us", "ppg_amplitude", "ppg_offset", "ppg_drift_per_s", "ppg_noise", "gsr_noise_us"]
+def test_synthesis_checks_its_settings_before_the_first_sample():
+    with pytest.raises(ValueError, match="^bpm_start must be finite and positive, got 0.0$"):
+        synth_physio(SignalProfile(bpm_start=0.0), 1000.0, 0)
+
+
+POSITIVE_FIELDS = ["duration_ms", "bpm_start", "bpm_end"]
+FINITE_FIELDS = ["gsr_start_us", "gsr_end_us", "ppg_noise", "gsr_noise_us"]
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
