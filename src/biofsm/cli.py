@@ -184,6 +184,14 @@ def _wearable_samples(config: NodeConfig):
     return synth_physio(profile, config.duration_s * 1000.0, config.seed)
 
 
+def _until_set(event: threading.Event, samples):
+    """Yield from `samples` until `event` is set; a plain flag read per sample, no lock."""
+    for sample in samples:
+        if event.is_set():
+            return
+        yield sample
+
+
 def _cmd_wearable(args: argparse.Namespace) -> int:
     config = _load_or_default(args, "wearable")
     ladder = LadderConfig(window_ms=config.window_ms)
@@ -205,6 +213,10 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
                 log_path=resolve_log_path(None, "benchtop"),
                 should_stop=stop.is_set,
             )
+            # The benchtop ends before `stop` is set only by failing; set it then,
+            # so no more samples are fed.
+            benchtop.add_done_callback(lambda _: stop.set())
+            samples = _until_set(stop, samples)
             try:
                 # Port 0 binds an ephemeral port, so send to the one actually bound.
                 emissions = run_wearable(samples, ladder, EndpointConfig(config.host, receiver.port), log_path)

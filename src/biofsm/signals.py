@@ -183,12 +183,6 @@ class SignalProfile:
     gsr_noise_us: float = 0.0
 
 
-def _ramp(start: float, end: float | None, t_ms: float, duration_ms: float) -> float:
-    if end is None or end == start:
-        return start
-    return start + (end - start) * (t_ms / duration_ms)
-
-
 def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Iterator[PhysioSample]:
     """Generate a merged, timestamp-ordered PPG + GSR stream.
 
@@ -214,37 +208,45 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
 
 
 def _synth(profile: SignalProfile, duration_ms: float, seed: int) -> Iterator[PhysioSample]:
-    rng_ppg = random.Random(f"{seed}/ppg")
-    rng_gsr = random.Random(f"{seed}/gsr")
+    ppg_uniform = random.Random(f"{seed}/ppg").uniform
+    gsr_uniform = random.Random(f"{seed}/gsr").uniform
     ppg_dt_ms = 1000.0 / PPG_RATE_HZ
     gsr_dt_ms = 1000.0 / GSR_RATE_HZ
-
     n_ppg = int(duration_ms / ppg_dt_ms)
     n_gsr = int(duration_ms / gsr_dt_ms)
 
+    # A trajectory whose end is unset or equal stays at its start, sign of zero kept.
+    bpm0, bpm_end, ppg_noise = profile.bpm_start, profile.bpm_end, profile.ppg_noise
+    gsr0, gsr_end, gsr_noise = profile.gsr_start_us, profile.gsr_end_us, profile.gsr_noise_us
+    bpm_span = None if bpm_end in (None, bpm0) else bpm_end - bpm0
+    gsr_span = None if gsr_end in (None, gsr0) else gsr_end - gsr0
+    sin, inf, two_pi, ppg_dt_s = math.sin, math.inf, 2.0 * math.pi, ppg_dt_ms / 1000.0
     phase = 0.0
     i = j = 0
-    while i < n_ppg or j < n_gsr:
-        t_ppg = i * ppg_dt_ms if i < n_ppg else math.inf
-        t_gsr = j * gsr_dt_ms if j < n_gsr else math.inf
+    t_ppg = 0.0 if n_ppg else inf
+    t_gsr = 0.0 if n_gsr else inf
+    for _ in range(n_ppg + n_gsr):
         if t_ppg <= t_gsr:
-            bpm = _ramp(profile.bpm_start, profile.bpm_end, t_ppg, duration_ms)
-            value = PPG_OFFSET + PPG_AMPLITUDE * math.sin(phase)
-            if profile.ppg_noise > 0:
-                value += rng_ppg.uniform(-profile.ppg_noise, profile.ppg_noise)
+            bpm = bpm0 if bpm_span is None else bpm0 + bpm_span * (t_ppg / duration_ms)
+            value = PPG_OFFSET + PPG_AMPLITUDE * sin(phase)
+            if ppg_noise > 0:
+                value += ppg_uniform(-ppg_noise, ppg_noise)
             yield PhysioSample(t_ppg, _PPG, value)
-            phase += 2.0 * math.pi * (bpm / 60.0) * (ppg_dt_ms / 1000.0)
+            phase += two_pi * (bpm / 60.0) * ppg_dt_s
             i += 1
+            t_ppg = i * ppg_dt_ms if i < n_ppg else inf
         else:
-            level = _ramp(profile.gsr_start_us, profile.gsr_end_us, t_gsr, duration_ms)
-            if profile.gsr_noise_us > 0:
-                level += rng_gsr.uniform(-profile.gsr_noise_us, profile.gsr_noise_us)
+            level = gsr0 if gsr_span is None else gsr0 + gsr_span * (t_gsr / duration_ms)
+            if gsr_noise > 0:
+                level += gsr_uniform(-gsr_noise, gsr_noise)
             yield PhysioSample(t_gsr, _GSR, level)
             j += 1
+            t_gsr = j * gsr_dt_ms if j < n_gsr else inf
 
 
 TRACE_HEADER = ["timestamp_ms", "channel", "value"]
 _CHANNELS = {c.value: c for c in Channel}
+_CHANNEL_NAMES = {c: c.value for c in Channel}  # `Channel.value` is a Python-level property
 
 
 def load_trace(path: str | Path) -> list[PhysioSample]:
@@ -288,8 +290,15 @@ def load_trace(path: str | Path) -> list[PhysioSample]:
 
 
 def save_trace(path: str | Path, samples: Iterable[PhysioSample]) -> None:
+    """Write samples to a trace CSV that `load_trace` reads back bit for bit.
+
+    The file is the header line `timestamp_ms,channel,value`, then one row
+    per sample in the order given, written as it arrives (the stream is not
+    held in memory): `repr` of the timestamp, the channel name and `repr`
+    of the value, comma-separated, unquoted, each line ending in a line feed.
+    Nothing is validated, so a NaN is written as `nan`, which `load_trace`
+    then refuses; a finite stream ordered per channel round-trips exactly.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for sample in samples:
-            writer.writerow([repr(sample.timestamp_ms), sample.channel.value, repr(sample.value)])
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        fh.writelines(f"{s.timestamp_ms!r},{_CHANNEL_NAMES[s.channel]},{s.value!r}\n" for s in samples)

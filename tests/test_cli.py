@@ -490,10 +490,13 @@ def test_duplex_on_port_0_sends_to_the_bound_port(tmp_path, monkeypatch, capsys)
 
 
 def test_duplex_benchtop_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # The benchtop fails at its first tick; the wearable stops feeding
+    # samples then, so far fewer than the hour's 240 windows close.
     (tmp_path / "benchtop.jsonl").mkdir()
     monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
-    assert main(["wearable", "--duplex", "--port", "0", "--duration-s", "20"]) == 1
+    assert main(["wearable", "--duplex", "--port", "0", "--duration-s", "3600"]) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path / 'benchtop.jsonl'}'\n")
+    assert len(read_jsonl(tmp_path / "wearable.jsonl")) < 240
 
 
 def test_duplex_benchtop_binds_the_host_sent_to(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import csv
 import itertools
 import math
+import random
 import struct
 from statistics import median
 
@@ -10,8 +12,11 @@ from biofsm.classifier import FeatureExtractor
 from biofsm.signals import (
     DC_COEFFICIENT,
     ENVELOPE_DECAY,
+    GSR_RATE_HZ,
     GSR_WINDOW_SIZE,
     MIN_THRESHOLD,
+    PPG_AMPLITUDE,
+    PPG_OFFSET,
     PPG_RATE_HZ,
     REARM_LEVEL,
     REFRACTORY_MS,
@@ -23,6 +28,7 @@ from biofsm.signals import (
     PhysioSample,
     SampleOrderError,
     SignalProfile,
+    TRACE_HEADER,
     load_trace,
     save_trace,
     synth_physio,
@@ -363,6 +369,106 @@ def test_trace_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     save_trace(path, samples)
     assert load_trace(path) == samples
+
+
+def reference_synth(profile, duration_ms, seed):
+    """`synth_physio`'s loop as it read before its per-sample reads were
+    hoisted: both next timestamps, a `_ramp` call and the profile's fields
+    every sample, kept as the reference."""
+
+    def ramp(start, end, t_ms):
+        if end is None or end == start:
+            return start
+        return start + (end - start) * (t_ms / duration_ms)
+
+    rng_ppg = random.Random(f"{seed}/ppg")
+    rng_gsr = random.Random(f"{seed}/gsr")
+    ppg_dt_ms = 1000.0 / PPG_RATE_HZ
+    gsr_dt_ms = 1000.0 / GSR_RATE_HZ
+    n_ppg = int(duration_ms / ppg_dt_ms)
+    n_gsr = int(duration_ms / gsr_dt_ms)
+    phase = 0.0
+    i = j = 0
+    while i < n_ppg or j < n_gsr:
+        t_ppg = i * ppg_dt_ms if i < n_ppg else math.inf
+        t_gsr = j * gsr_dt_ms if j < n_gsr else math.inf
+        if t_ppg <= t_gsr:
+            bpm = ramp(profile.bpm_start, profile.bpm_end, t_ppg)
+            value = PPG_OFFSET + PPG_AMPLITUDE * math.sin(phase)
+            if profile.ppg_noise > 0:
+                value += rng_ppg.uniform(-profile.ppg_noise, profile.ppg_noise)
+            yield PhysioSample(t_ppg, Channel.PPG, value)
+            phase += 2.0 * math.pi * (bpm / 60.0) * (ppg_dt_ms / 1000.0)
+            i += 1
+        else:
+            level = ramp(profile.gsr_start_us, profile.gsr_end_us, t_gsr)
+            if profile.gsr_noise_us > 0:
+                level += rng_gsr.uniform(-profile.gsr_noise_us, profile.gsr_noise_us)
+            yield PhysioSample(t_gsr, Channel.GSR, level)
+            j += 1
+
+
+def reference_save_trace(path, samples, **dialect):
+    """`save_trace` as it read before it streamed preformatted rows: one
+    `csv.writer` row per sample, kept as the reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, **{"lineterminator": "\n", **dialect})
+        writer.writerow(TRACE_HEADER)
+        for sample in samples:
+            writer.writerow([repr(sample.timestamp_ms), sample.channel.value, repr(sample.value)])
+
+
+def sample_bits(samples):
+    return [(bits(s.timestamp_ms), s.channel, bits(s.value)) for s in samples]
+
+
+@st.composite
+def trajectories(draw, start):
+    """(start, end) pairs: flat (end unset or equal to the start) or ramped."""
+    first = draw(start)
+    end = draw(st.one_of(st.none(), st.just(first), start))
+    return first, end
+
+
+POSITIVE = st.floats(1.0, 250.0)
+LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 5.0]), st.floats(-50.0, 50.0))
+NOISE = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+DURATIONS = st.one_of(st.sampled_from([95.0, 100.0, 110.0, 12_345.6]), st.floats(0.5, 15_000.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trajectories(POSITIVE), trajectories(LEVELS), NOISE, NOISE, DURATIONS, st.integers(0, 2**32))
+def test_recorder_matches_the_reference(tmp_path_factory, bpm, gsr, ppg_noise, gsr_noise, duration_ms, seed):
+    profile = SignalProfile(*bpm, *gsr, ppg_noise, gsr_noise)
+    samples = list(synth_physio(profile, duration_ms, seed))
+    assert sample_bits(samples) == sample_bits(reference_synth(profile, duration_ms, seed))
+    directory = tmp_path_factory.getbasetemp()
+    save_trace(directory / "head.csv", iter(samples))
+    reference_save_trace(directory / "reference.csv", samples)
+    assert (directory / "head.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+def test_trace_bytes_are_exact_and_unvalidated(tmp_path):
+    path = tmp_path / "nan.csv"
+    samples = [PhysioSample(0.0, Channel.PPG, 1e-07), PhysioSample(100.0, Channel.GSR, -0.0),
+               PhysioSample(20.0, Channel.PPG, math.nan)]
+    save_trace(path, samples)
+    assert path.read_bytes() == b"timestamp_ms,channel,value\n0.0,PPG,1e-07\n100.0,GSR,-0.0\n20.0,PPG,nan\n"
+    with pytest.raises(ValueError, match=r"nan\.csv: line 4: non-finite field"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "dialect, marker",
+    [({"quoting": csv.QUOTE_ALL}, b'"PPG"'), ({"lineterminator": "\r\n"}, b"\r\n")],
+    ids=["quote-all", "crlf"],
+)
+def test_trace_reader_accepts_other_csv_dialects(tmp_path, dialect, marker):
+    samples = list(synth_physio(SignalProfile(ppg_noise=2.0, gsr_noise_us=0.5), 3_000, seed=9))
+    path = tmp_path / "trace.csv"
+    reference_save_trace(path, samples, **dialect)
+    assert marker in path.read_bytes()
+    assert sample_bits(load_trace(path)) == sample_bits(samples)
 
 
 def test_trace_rejects_bad_header(tmp_path):
