@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .classifier import DEFAULT_WINDOW_MS, LadderConfig
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
-from .nodes import check_benchtop_settings, run_benchtop, run_wearable
+from .nodes import _open_log, check_benchtop_settings, run_benchtop, run_wearable
 from .protocol import DEFAULT_HOST, DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
 from .sim import DEFAULT_TICK_MS, evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
@@ -104,7 +104,7 @@ class NodeConfig:
     def load(cls, path: str | Path) -> "NodeConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         try:
             data = json.loads(text)
@@ -201,8 +201,12 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
     if not args.duplex:
         emissions = run_wearable(samples, ladder, endpoint, log_path)
     else:
-        # Checked before the bind, so bad settings stop the run before any window closes.
+        # Settings checked and the benchtop's log created in this thread, before the
+        # bind, so either failing stops the run before any window closes.
         check_benchtop_settings(config.tick_ms, config.brownout_ticks)
+        benchtop_log = resolve_log_path(None, "benchtop")
+        with _open_log(benchtop_log):
+            pass
         stop = threading.Event()
         with UdpReceiver(endpoint) as receiver, ThreadPoolExecutor(max_workers=1) as pool:
             benchtop = pool.submit(
@@ -210,7 +214,7 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
                 receiver=receiver,
                 tick_ms=config.tick_ms,
                 brownout_ticks=config.brownout_ticks,
-                log_path=resolve_log_path(None, "benchtop"),
+                log_path=benchtop_log,
                 should_stop=stop.is_set,
             )
             # The benchtop ends before `stop` is set only by failing; set it then,

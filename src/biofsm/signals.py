@@ -257,35 +257,38 @@ def load_trace(path: str | Path) -> list[PhysioSample]:
     """
     samples: list[PhysioSample] = []
     last_seen: dict[Channel, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            channel = _CHANNELS.get(row[1])
-            if channel is None:
-                raise ValueError(f"{path}: line {lineno}: unknown channel {row[1]!r}")
-            try:
-                timestamp = float(row[0])
-                value = float(row[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            if not (math.isfinite(timestamp) and math.isfinite(value)):
-                raise ValueError(f"{path}: line {lineno}: non-finite field")
-            if timestamp < 0:
-                raise SampleOrderError(f"{path}: line {lineno}: negative timestamp")
-            prev = last_seen.get(channel)
-            if prev is not None and timestamp <= prev:
-                raise SampleOrderError(
-                    f"{path}: line {lineno}: {channel.value} timestamp {timestamp} not after {prev}"
-                )
-            last_seen[channel] = timestamp
-            samples.append(PhysioSample(timestamp, channel, value))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != TRACE_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(TRACE_HEADER)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+                channel = _CHANNELS.get(row[1])
+                if channel is None:
+                    raise ValueError(f"{path}: line {lineno}: unknown channel {row[1]!r}")
+                try:
+                    timestamp = float(row[0])
+                    value = float(row[2])
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+                if not (math.isfinite(timestamp) and math.isfinite(value)):
+                    raise ValueError(f"{path}: line {lineno}: non-finite field")
+                if timestamp < 0:
+                    raise SampleOrderError(f"{path}: line {lineno}: negative timestamp")
+                prev = last_seen.get(channel)
+                if prev is not None and timestamp <= prev:
+                    raise SampleOrderError(
+                        f"{path}: line {lineno}: {channel.value} timestamp {timestamp} not after {prev}"
+                    )
+                last_seen[channel] = timestamp
+                samples.append(PhysioSample(timestamp, channel, value))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return samples
 
 

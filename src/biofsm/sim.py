@@ -31,8 +31,8 @@ from .fsm import (
 )
 from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender
 
-# Token -> symbol. A dict lookup, because calling InputSymbol(token) costs
-# about twenty times as much per token.
+# Token -> symbol, probed once per script line by `parse_script`: a dict
+# lookup, because calling InputSymbol(token) costs about twenty times as much.
 _TOKENS = {symbol.value: symbol for symbol in InputSymbol}
 
 DEFAULT_TICK_MS = 50.0  # one tick of wall time on the live and wire paths
@@ -45,20 +45,21 @@ class ScriptError(ValueError):
 def parse_script(text: str) -> list[InputSymbol]:
     """Parse a tick script: one token per line, A/B/C/X/-, # comments allowed."""
     symbols: list[InputSymbol] = []
+    append, token = symbols.append, _TOKENS.get
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line not in _TOKENS:
+        symbol = token(line)
+        if symbol is not None:
+            append(symbol)
+        elif line and not line.startswith("#"):
             raise ScriptError(f"line {lineno}: unknown symbol {line!r} (expected A, B, C, X or -)")
-        symbols.append(_TOKENS[line])
     return symbols
 
 
 def load_script(path: str | Path) -> list[InputSymbol]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScriptError(f"cannot read script {path}: {exc}") from exc
     try:
         return parse_script(text)
@@ -177,7 +178,10 @@ def load_table3(path: str | Path | None = None) -> list[TraceRecord]:
         source = resources.files("biofsm").joinpath("data/table3.csv")
         text = source.read_text(encoding="utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     reader = csv.reader(text.splitlines())
     header = next(reader, None)
     if header != ["clip", "interval", "self_report", "predicted"]:

@@ -228,6 +228,24 @@ def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, head, prefix",
+    [
+        (["simulate"], b"A\n", "cannot read script {path}: "),
+        (["wearable", "--trace"], b"timestamp_ms,channel,value\n", "{path}: "),
+        (["benchtop", "--config"], b'{"role": "benchtop", "host": "', "cannot read config {path}: "),
+        (["evaluate", "--fixture"], b"clip,interval,self_report,predicted\n", "{path}: "),
+    ],
+    ids=["simulate", "wearable", "benchtop", "evaluate"],
+)
+def test_a_file_that_is_not_utf8_is_named(argv, head, prefix, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(head + b"\xff\n")
+    assert main([*argv, str(path)]) == 2
+    reason = f"'utf-8' codec can't decode byte 0xff in position {len(head)}: invalid start byte"
+    assert capsys.readouterr() == ("", f"error: {prefix.format(path=path)}{reason}\n")
+
+
 def test_evaluate_table(capsys):
     assert main(["evaluate"]) == 0
     out = capsys.readouterr().out
@@ -490,13 +508,13 @@ def test_duplex_on_port_0_sends_to_the_bound_port(tmp_path, monkeypatch, capsys)
 
 
 def test_duplex_benchtop_failure_exits_1(tmp_path, monkeypatch, capsys):
-    # The benchtop fails at its first tick; the wearable stops feeding
-    # samples then, so far fewer than the hour's 240 windows close.
+    # The benchtop's log is opened before the wearable starts, so not one of
+    # the hour's 240 windows closes.
     (tmp_path / "benchtop.jsonl").mkdir()
     monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
     assert main(["wearable", "--duplex", "--port", "0", "--duration-s", "3600"]) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path / 'benchtop.jsonl'}'\n")
-    assert len(read_jsonl(tmp_path / "wearable.jsonl")) < 240
+    assert not (tmp_path / "wearable.jsonl").exists()
 
 
 def test_duplex_benchtop_binds_the_host_sent_to(tmp_path, monkeypatch):

@@ -49,6 +49,52 @@ def test_load_script_prefixes_the_path(tmp_path):
         load_script(path)
 
 
+def reference_parse_script(text):
+    """`parse_script` as first written: a comment test, a membership probe, then an index."""
+    tokens = {symbol.value: symbol for symbol in InputSymbol}
+    symbols = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line not in tokens:
+            raise ScriptError(f"line {lineno}: unknown symbol {line!r} (expected A, B, C, X or -)")
+        symbols.append(tokens[line])
+    return symbols
+
+
+PADS = st.sampled_from(["", " ", "\t", " \t "])
+SCRIPT_LINES = st.one_of(
+    st.builds(lambda pad, token, tail: pad + token + tail, PADS, st.sampled_from("ABCX-"), PADS),
+    st.sampled_from(["", "#", "  # note", "#A"]),
+    st.sampled_from(["Q", "AB", "a", "--", "A #x"]),
+)
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+
+
+@st.composite
+def script_texts(draw):
+    """Script lines each ended by a line break, the last break sometimes dropped."""
+    lines = draw(st.lists(st.tuples(SCRIPT_LINES, LINE_BREAKS), max_size=12))
+    text = "".join(line + brk for line, brk in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(lines[-1][1])]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(script_texts())
+def test_parse_script_agrees_with_its_reference(text):
+    try:
+        expected = reference_parse_script(text)
+    except ScriptError as exc:
+        with pytest.raises(ScriptError) as caught:
+            parse_script(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert parse_script(text) == expected
+
+
 def test_simulation_tracks_valid_inputs():
     steps = run_simulation([A, B, C])
     assert [s.state for s in steps] == [BenchState.NORMAL, BenchState.MILD, BenchState.HIGH]
