@@ -8,7 +8,8 @@ Four verbs cover the two nodes and the offline tools:
   biofsm evaluate   score the bundled (or a custom) study fixture
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, bad
-config file, malformed script), 1 for runtime failures.
+config file, malformed script, missing or unreadable input file), 1 for
+runtime failures.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import logging
 import os
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import DEFAULT_WINDOW_MS, LadderConfig
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
-from .nodes import _open_log, check_benchtop_settings, run_benchtop, run_wearable
+from .nodes import run_benchtop, run_wearable
 from .protocol import DEFAULT_HOST, DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
 from .sim import DEFAULT_TICK_MS, evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
@@ -201,34 +201,33 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
     if not args.duplex:
         emissions = run_wearable(samples, ladder, endpoint, log_path)
     else:
-        # Settings checked and the benchtop's log created in this thread, before the
-        # bind, so either failing stops the run before any window closes.
-        check_benchtop_settings(config.tick_ms, config.brownout_ticks)
-        benchtop_log = resolve_log_path(None, "benchtop")
-        with _open_log(benchtop_log):
-            pass
         stop = threading.Event()
+        wearable = None
+        drain = 3  # benchtop ticks after the wearable returns, for its last datagrams
         with UdpReceiver(endpoint) as receiver, ThreadPoolExecutor(max_workers=1) as pool:
-            benchtop = pool.submit(
-                run_benchtop,
-                receiver=receiver,
-                tick_ms=config.tick_ms,
-                brownout_ticks=config.brownout_ticks,
-                log_path=benchtop_log,
-                should_stop=stop.is_set,
-            )
-            # The benchtop ends before `stop` is set only by failing; set it then,
-            # so no more samples are fed.
-            benchtop.add_done_callback(lambda _: stop.set())
-            samples = _until_set(stop, samples)
+            # Port 0 binds an ephemeral port, so send to the one actually bound.
+            endpoint = EndpointConfig(config.host, receiver.port)
+
+            def next_tick() -> bool:
+                # First called at tick 0, once the benchtop's settings and log are checked.
+                nonlocal wearable, drain
+                if wearable is None:
+                    wearable = pool.submit(run_wearable, _until_set(stop, samples), ladder, endpoint, log_path)
+                elif wearable.done():
+                    drain -= 1
+                return drain < 0
+
             try:
-                # Port 0 binds an ephemeral port, so send to the one actually bound.
-                emissions = run_wearable(samples, ladder, EndpointConfig(config.host, receiver.port), log_path)
-                # Let the paired benchtop drain the last datagrams before stopping.
-                time.sleep(3.0 * config.tick_ms / 1000.0)
+                run_benchtop(
+                    receiver=receiver,
+                    tick_ms=config.tick_ms,
+                    brownout_ticks=config.brownout_ticks,
+                    log_path=resolve_log_path(None, "benchtop"),
+                    should_stop=next_tick,
+                )
             finally:
-                stop.set()
-            benchtop.result()  # re-raises the benchtop's own failure
+                stop.set()  # a benchtop that ends first stops the wearable
+            emissions = wearable.result()  # re-raises the wearable's own failure
     sent = sum(1 for e in emissions if e.byte_sent is not None)
     print(f"wearable: {len(emissions)} windows closed, {sent} bytes sent")
     return 0

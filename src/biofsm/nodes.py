@@ -118,13 +118,6 @@ def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowEmission:
     )
 
 
-def check_benchtop_settings(tick_ms: float, brownout_ticks: int) -> None:
-    """Raise the ValueError `run_benchtop` gives for a tick length or silence budget it cannot run."""
-    if not (math.isfinite(tick_ms) and tick_ms > 0):
-        raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
-    FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
-
-
 def run_benchtop(
     endpoint: EndpointConfig | None = None,
     tick_ms: float = DEFAULT_TICK_MS,
@@ -136,8 +129,8 @@ def run_benchtop(
 ) -> list[SimStep]:
     """Tick the actuation machine against live datagrams until stopped.
 
-    Settings are checked before the log is opened or a socket bound. A
-    `receiver` passed in stays open; otherwise one binds `endpoint`.
+    Settings are checked before the log is opened and, when no `receiver`
+    is passed, before `endpoint` is bound. A `receiver` passed in stays open.
     The schedule is fixed-rate: tick k ends at t0 + (k+1)·tick_ms, where t0
     is when ticking starts; a late tick polls for 0 s and the loop catches
     up. `poll_receive` gives ABSENT for a tick with nothing received, so
@@ -145,7 +138,9 @@ def run_benchtop(
     when `should_stop` turns true at a tick boundary, or on Ctrl-C. Every
     tick appends its `SimStep.line()` to the log, the simulator's trace line.
     """
-    check_benchtop_settings(tick_ms, brownout_ticks)
+    if not (math.isfinite(tick_ms) and tick_ms > 0):
+        raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
+    FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
     if max_ticks is not None and max_ticks < 0:
         raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")
     steps: list[SimStep] = []

@@ -287,8 +287,8 @@ def load_trace(path: str | Path) -> list[PhysioSample]:
                     )
                 last_seen[channel] = timestamp
                 samples.append(PhysioSample(timestamp, channel, value))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read trace {path}: {exc}") from None
     return samples
 
 

@@ -180,8 +180,8 @@ def load_table3(path: str | Path | None = None) -> list[TraceRecord]:
     else:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read fixture {path}: {exc}") from None
     reader = csv.reader(text.splitlines())
     header = next(reader, None)
     if header != ["clip", "interval", "self_report", "predicted"]:
@@ -215,12 +215,6 @@ class ClipAccuracy:
     def percent(self) -> float:
         return 100.0 * self.matches / self.total
 
-    @property
-    def matches_reported(self) -> bool:
-        if self.reported_percent is None:
-            return False
-        return abs(self.percent - self.reported_percent) < 0.005
-
 
 @dataclass
 class AccuracyReport:
@@ -234,7 +228,11 @@ class AccuracyReport:
     @property
     def discrepancies(self) -> list[int]:
         """Clip ids whose computed accuracy differs from the reported one."""
-        return [c.clip_id for c in self.clips if c.reported_percent is not None and not c.matches_reported]
+        return [
+            c.clip_id
+            for c in self.clips
+            if c.reported_percent is not None and abs(c.percent - c.reported_percent) >= 0.005
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -254,19 +252,20 @@ class AccuracyReport:
         }
 
     def render(self) -> str:
+        discrepancies = self.discrepancies
         lines = ["clip  matches  accuracy   reported"]
         for c in self.clips:
             reported = f"{c.reported_percent:.2f}%" if c.reported_percent is not None else "-"
-            flag = "" if c.matches_reported else "  <- differs"
+            flag = "  <- differs" if c.clip_id in discrepancies else ""
             lines.append(
                 f"{c.clip_id:<4}  {c.matches}/{c.total:<5}  {c.percent:6.2f}%   {reported}{flag}"
             )
         reported_avg = f"{self.reported_average:.2f}%" if self.reported_average is not None else "-"
         lines.append(f"average {self.average_percent:.2f}% (reported {reported_avg})")
-        if self.discrepancies:
+        if discrepancies:
             lines.append(
                 "computed accuracies do not match the originally reported figures "
-                f"for clips {self.discrepancies}; the reported figures are not "
+                f"for clips {discrepancies}; the reported figures are not "
                 "reproducible from the published per-interval data"
             )
         return "\n".join(lines)

@@ -228,22 +228,30 @@ def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize(
-    "argv, head, prefix",
-    [
-        (["simulate"], b"A\n", "cannot read script {path}: "),
-        (["wearable", "--trace"], b"timestamp_ms,channel,value\n", "{path}: "),
-        (["benchtop", "--config"], b'{"role": "benchtop", "host": "', "cannot read config {path}: "),
-        (["evaluate", "--fixture"], b"clip,interval,self_report,predicted\n", "{path}: "),
-    ],
-    ids=["simulate", "wearable", "benchtop", "evaluate"],
-)
-def test_a_file_that_is_not_utf8_is_named(argv, head, prefix, tmp_path, capsys):
+INPUT_FILES = [
+    (["simulate"], "script", b"A\n"),
+    (["wearable", "--trace"], "trace", b"timestamp_ms,channel,value\n"),
+    (["benchtop", "--config"], "config", b'{"role": "benchtop", "host": "'),
+    (["evaluate", "--fixture"], "fixture", b"clip,interval,self_report,predicted\n"),
+]
+INPUT_FILE_IDS = ["simulate", "wearable", "benchtop", "evaluate"]
+
+
+@pytest.mark.parametrize("argv, kind, head", INPUT_FILES, ids=INPUT_FILE_IDS)
+def test_a_file_that_is_not_utf8_is_named(argv, kind, head, tmp_path, capsys):
     path = tmp_path / "input"
     path.write_bytes(head + b"\xff\n")
     assert main([*argv, str(path)]) == 2
     reason = f"'utf-8' codec can't decode byte 0xff in position {len(head)}: invalid start byte"
-    assert capsys.readouterr() == ("", f"error: {prefix.format(path=path)}{reason}\n")
+    assert capsys.readouterr() == ("", f"error: cannot read {kind} {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, kind", [(argv, kind) for argv, kind, _ in INPUT_FILES], ids=INPUT_FILE_IDS)
+def test_a_missing_input_file_exits_2(argv, kind, tmp_path, capsys):
+    path = tmp_path / "missing"
+    assert main([*argv, str(path)]) == 2
+    reason = f"[Errno 2] No such file or directory: '{path}'"
+    assert capsys.readouterr() == ("", f"error: cannot read {kind} {path}: {reason}\n")
 
 
 def test_evaluate_table(capsys):
@@ -268,6 +276,21 @@ def test_evaluate_rejects_a_clip_that_repeats_an_interval(tmp_path, capsys):
     fixture.write_text(bundled.replace("\n1,5,NORMAL,NORMAL\n", "\n1,4,MILD,MILD\n"))
     assert main(["evaluate", "--fixture", str(fixture)]) == 2
     assert capsys.readouterr() == ("", "error: clip 1 repeats interval 4\n")
+
+
+def test_evaluate_flags_a_row_exactly_when_its_clip_is_a_discrepancy(tmp_path, capsys):
+    # Clip 7 has no reported figure, so it cannot differ from one.
+    fixture = tmp_path / "clip7.csv"
+    fixture.write_text("clip,interval,self_report,predicted\n" + "".join(f"7,{i},MILD,MILD\n" for i in range(1, 17)))
+    assert main(["evaluate", "--fixture", str(fixture)]) == 0
+    table = capsys.readouterr().out
+    assert main(["evaluate", "--fixture", str(fixture), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["discrepancy_clips"] == []
+    assert table == (
+        "clip  matches  accuracy   reported\n"
+        "7     16/16     100.00%   -\n"
+        "average 100.00% (reported 41.00%)\n"
+    )
 
 
 def test_wearable_synthetic_run_sends_class_bytes(tmp_path, capsys):
@@ -515,6 +538,17 @@ def test_duplex_benchtop_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert main(["wearable", "--duplex", "--port", "0", "--duration-s", "3600"]) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path / 'benchtop.jsonl'}'\n")
     assert not (tmp_path / "wearable.jsonl").exists()
+
+
+def test_duplex_wearable_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # The benchtop runs in the foreground and stops by itself three ticks after
+    # the wearable returns, here by failing to open its log.
+    (tmp_path / "wearable.jsonl").mkdir()
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    assert main(["wearable", "--duplex", "--port", "0", "--tick-ms", "25", "--duration-s", "40"]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path / 'wearable.jsonl'}'\n")
+    assert 4 <= len(read_jsonl(tmp_path / "benchtop.jsonl")) < 10
+    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
 
 
 def test_duplex_benchtop_binds_the_host_sent_to(tmp_path, monkeypatch):

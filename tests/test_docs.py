@@ -1,5 +1,10 @@
+import json
 import re
 from pathlib import Path
+
+from biofsm.cli import main
+from biofsm.protocol import InputSymbol
+from biofsm.sim import run_simulation, serialize_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +18,15 @@ def test_readme_library_snippet_runs(capsys):
     assert "deterministic" in out
     assert "HIGH (255, 0, 0)" in out
     assert "['MILD', 'MILD']" in out
+
+
+def test_readme_duplex_quick_start_runs(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    command = re.search(r"^biofsm (wearable --duplex .*)$", section, re.M).group(1)
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    assert main([*command.split(), "--port", "0"]) == 0
+    assert re.fullmatch(r"wearable: (\d+) windows closed, \1 bytes sent\n", capsys.readouterr().out)
+    trace = (tmp_path / "benchtop.jsonl").read_text()
+    records = [json.loads(line) for line in trace.splitlines()]
+    assert "MILD" in {r["state"] for r in records}
+    assert trace == serialize_trace(run_simulation([InputSymbol(r["input"]) for r in records]))
