@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
+from enum import Enum
 
 from .signals import BeatDetector, Channel, GsrCollector, PhysioSample
 
@@ -21,10 +21,13 @@ _GSR = Channel.GSR  # bound once for the per-sample loop, as in signals
 DEFAULT_WINDOW_MS = 15000.0
 
 
-class ArousalClass(IntEnum):
-    NORMAL = 0
-    MILD = 1
-    HIGH = 2
+class ArousalClass(str, Enum):
+    NORMAL = "NORMAL"
+    MILD = "MILD"
+    HIGH = "HIGH"
+
+
+_CLASSES = tuple(ArousalClass)  # score-vector order: position k scores _CLASSES[k]
 
 
 @dataclass
@@ -63,15 +66,15 @@ def frame_in_range(frame: FeatureFrame) -> bool:
     return HR_RANGE[0] <= frame.bpm <= HR_RANGE[1] and GSR_RANGE[0] <= frame.gsr_us <= GSR_RANGE[1]
 
 
-def _band(value: float, value_range: tuple[float, float], splits: tuple[float, float], name: str) -> ArousalClass:
+def _band(value: float, value_range: tuple[float, float], splits: tuple[float, float], name: str) -> int:
     lo, hi = value_range
     if not (lo <= value <= hi):
         raise ValueError(f"{name} {value} outside supported range [{lo}, {hi}]")
     if value < splits[0]:
-        return ArousalClass.NORMAL
+        return 0
     if value < splits[1]:
-        return ArousalClass.MILD
-    return ArousalClass.HIGH
+        return 1
+    return 2
 
 
 def score_frame(frame: FeatureFrame) -> list[float]:
@@ -84,14 +87,29 @@ def score_frame(frame: FeatureFrame) -> list[float]:
 
 @dataclass
 class WindowDecision:
-    """A window's vote, with the means of the in-range frames that cast it."""
+    """A window's vote, the means of the in-range frames that cast it, and the byte sent for it.
+
+    A window with no usable frame is `WindowDecision(window_index)`: 0 frames, the rest None.
+    """
 
     window_index: int
-    arousal: ArousalClass
-    score_vector: list[float]
-    frames_used: int
-    bpm_mean: float
-    gsr_mean: float
+    frames_used: int = 0
+    bpm_mean: float | None = None
+    gsr_mean: float | None = None
+    arousal: ArousalClass | None = None
+    score_vector: list[float] | None = None
+    byte_sent: str | None = None
+
+    def record(self) -> dict:
+        """The wearable's log line for this window; the class is written by name."""
+        return {
+            "window": self.window_index,
+            "frames_used": self.frames_used,
+            "bpm_mean": self.bpm_mean,
+            "gsr_mean": self.gsr_mean,
+            "arousal": self.arousal,
+            "byte_sent": self.byte_sent,
+        }
 
 
 def classify_window(
@@ -103,8 +121,9 @@ def classify_window(
 
     Out-of-range frames are dropped. With no usable frames the window is
     undecidable and None is returned. Ties resolve to the lower class, i.e.
-    the calmer interpretation wins. `config` is unread, as the ladder is
-    fixed; it stays because bench/replay.py passes a LadderConfig there.
+    the calmer interpretation wins. No byte is sent yet, so `byte_sent` is
+    None. `config` is unread, as the ladder is fixed; it stays because
+    bench/replay.py passes a LadderConfig there.
     """
     used = [frame for frame in frames if frame_in_range(frame)]
     if not used:
@@ -113,13 +132,10 @@ def classify_window(
     for frame in used:
         for k, s in enumerate(score_frame(frame)):
             totals[k] += s
-    best = ArousalClass.NORMAL
-    for cls in (ArousalClass.MILD, ArousalClass.HIGH):
-        if totals[cls] > totals[best]:
-            best = cls
+    best = _CLASSES[max(range(3), key=totals.__getitem__)]  # max keeps the first of tied scores
     n = len(used)
     return WindowDecision(
-        window_index, best, totals, n, sum(f.bpm for f in used) / n, sum(f.gsr_us for f in used) / n
+        window_index, n, sum(f.bpm for f in used) / n, sum(f.gsr_us for f in used) / n, best, totals
     )
 
 

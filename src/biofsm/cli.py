@@ -18,6 +18,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--host", help="address to bind")
     b.add_argument("--tick-ms", type=float, dest="tick_ms", help="tick length in milliseconds")
     b.add_argument("--brownout-ticks", type=int, dest="brownout_ticks", help="silent ticks before brownout")
-    b.add_argument("--max-ticks", type=int, help="stop after this many ticks (default: run until Ctrl-C)")
+    b.add_argument("--max-ticks", type=int, help="stop after this many ticks (default: run until Ctrl-C or SIGTERM)")
     b.set_defaults(func=_cmd_benchtop)
 
     s = sub.add_parser("simulate", help="run a tick script on the virtual clock")
@@ -334,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # SIGTERM stops a node as Ctrl-C does, for this call only; only the main thread may set a handler.
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if in_main_thread else None
     try:
         return args.func(args)
     except ValueError as exc:
@@ -344,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if in_main_thread:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

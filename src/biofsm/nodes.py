@@ -14,11 +14,10 @@ import logging
 import math
 import time
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
-from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, classify_window
+from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, WindowDecision, classify_window
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
 from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import PhysioSample
@@ -32,29 +31,8 @@ def _open_log(path: str | Path | None) -> AbstractContextManager[IO[str] | None]
         return nullcontext()
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    return open(p, "w", encoding="utf-8")
-
-
-@dataclass
-class WindowEmission:
-    """What the wearable did about one closed window."""
-
-    window_index: int
-    frames_used: int
-    bpm_mean: float | None
-    gsr_mean: float | None
-    arousal: str | None
-    byte_sent: str | None
-
-    def record(self) -> dict:
-        return {
-            "window": self.window_index,
-            "frames_used": self.frames_used,
-            "bpm_mean": self.bpm_mean,
-            "gsr_mean": self.gsr_mean,
-            "arousal": self.arousal,
-            "byte_sent": self.byte_sent,
-        }
+    # Line-buffered, so a killed node leaves every finished line and no partial one.
+    return open(p, "w", buffering=1, encoding="utf-8")
 
 
 def run_wearable(
@@ -62,9 +40,10 @@ def run_wearable(
     ladder: LadderConfig | None = None,
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
-) -> list[WindowEmission]:
+) -> list[WindowDecision]:
     """Consume a sample stream, emit one classification byte per decided window.
 
+    Returns one `WindowDecision` per closed window and logs its `record()`.
     Windows that close without a usable decision are logged but nothing is
     sent; the benchtop's silence handling covers that case. A send that
     fails is logged and recorded with no byte sent. Samples with a non-finite
@@ -73,14 +52,14 @@ def run_wearable(
     """
     extractor = FeatureExtractor()
     accumulator = WindowAccumulator(ladder)
-    emissions: list[WindowEmission] = []
+    decisions: list[WindowDecision] = []
     with _open_log(log_path) as log_file, UdpSender(endpoint) as sender:
         def handle(closed_windows: list[ClosedWindow]) -> None:
             for closed in closed_windows:
-                emission = _emit_window(closed, sender)
-                emissions.append(emission)
+                decision = _emit_window(closed, sender)
+                decisions.append(decision)
                 if log_file is not None:
-                    log_file.write(json.dumps(emission.record()) + "\n")
+                    log_file.write(json.dumps(decision.record()) + "\n")
 
         for sample in samples:
             frame = extractor.add(sample)
@@ -89,16 +68,16 @@ def run_wearable(
         handle(accumulator.flush())
     if extractor.non_finite:
         log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
-    return emissions
+    return decisions
 
 
-def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowEmission:
+def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowDecision:
     decision = classify_window(closed.frames, window_index=closed.window_index)
     if decision is None:
         log.info("window %d: no usable frames, nothing sent", closed.window_index)
-        return WindowEmission(closed.window_index, 0, None, None, None, None)
+        return WindowDecision(closed.window_index)
     payload = encode_class(decision.arousal)
-    byte_sent = payload.decode("ascii") if sender.send_raw(payload) else None
+    decision.byte_sent = payload.decode("ascii") if sender.send_raw(payload) else None
     log.info(
         "window %d: %s (bpm %.1f, gsr %.2f uS, %d frames) -> %s",
         closed.window_index,
@@ -106,16 +85,9 @@ def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowEmission:
         decision.bpm_mean,
         decision.gsr_mean,
         decision.frames_used,
-        "send failed" if byte_sent is None else f"sent {byte_sent}",
+        "send failed" if decision.byte_sent is None else f"sent {decision.byte_sent}",
     )
-    return WindowEmission(
-        closed.window_index,
-        decision.frames_used,
-        decision.bpm_mean,
-        decision.gsr_mean,
-        decision.arousal.name,
-        byte_sent,
-    )
+    return decision
 
 
 def run_benchtop(
@@ -135,8 +107,9 @@ def run_benchtop(
     is when ticking starts; a late tick polls for 0 s and the loop catches
     up. `poll_receive` gives ABSENT for a tick with nothing received, so
     silence counts in ticks of wall time. Stops after `max_ticks` if given,
-    when `should_stop` turns true at a tick boundary, or on Ctrl-C. Every
-    tick appends its `SimStep.line()` to the log, the simulator's trace line.
+    when `should_stop` turns true at a tick boundary, or on Ctrl-C at any
+    point of a tick. Every tick appends its `SimStep.line()` to the log, the
+    simulator's trace line, and is in the steps returned.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
@@ -149,18 +122,23 @@ def run_benchtop(
         UdpReceiver(endpoint) if receiver is None else nullcontext(receiver) as receiver,
     ):
         log.info("benchtop listening on %s:%d", receiver.config.host, receiver.port)
-        for step in iter_steps(_received(receiver, tick_ms, max_ticks, should_stop), brownout_ticks):
-            steps.append(step)
-            if log_file is not None:
-                log_file.write(step.line())
-            log.info(
-                "tick %d: input %s -> %s color=%s tone=%s",
-                step.tick,
-                step.input.value,
-                step.state.value,
-                step.command.color,
-                step.command.tone.value,
-            )
+        try:
+            for step in iter_steps(_received(receiver, tick_ms, max_ticks, should_stop), brownout_ticks):
+                # Appended first: Ctrl-C during the write is raised as the write
+                # returns, so `steps` and the log still hold the same ticks.
+                steps.append(step)
+                if log_file is not None:
+                    log_file.write(step.line())
+                log.info(
+                    "tick %d: input %s -> %s color=%s tone=%s",
+                    step.tick,
+                    step.input.value,
+                    step.state.value,
+                    step.command.color,
+                    step.command.tone.value,
+                )
+        except KeyboardInterrupt:
+            log.info("benchtop interrupted, stopping")
     return steps
 
 
@@ -170,16 +148,11 @@ def _received(
     max_ticks: int | None,
     should_stop: Callable[[], bool] | None,
 ) -> Iterator[InputSymbol]:
-    """One symbol per tick until `max_ticks`, `should_stop` or Ctrl-C; tick k polls until t0 + (k+1)·tick."""
+    """One symbol per tick until `max_ticks` or `should_stop`; tick k polls until t0 + (k+1)·tick."""
     tick_s = tick_ms / 1000.0
     t0 = time.monotonic()
     for k in itertools.count() if max_ticks is None else range(max_ticks):
         if should_stop is not None and should_stop():
             return
         deadline = t0 + (k + 1) * tick_s
-        try:
-            received = receiver.poll_receive(max(0.0, deadline - time.monotonic()))
-        except KeyboardInterrupt:
-            log.info("benchtop interrupted, stopping")
-            return
-        yield received
+        yield receiver.poll_receive(max(0.0, deadline - time.monotonic()))

@@ -107,7 +107,11 @@ class UdpReceiver:
     def __init__(self, config: EndpointConfig | None = None):
         self.config = config or EndpointConfig()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((self.config.host, self.config.port))
+        try:
+            self._sock.bind((self.config.host, self.config.port))
+        except OSError:  # a busy port or an unresolvable host
+            self._sock.close()
+            raise
         self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
 

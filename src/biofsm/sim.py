@@ -161,8 +161,6 @@ class TraceRecord:
     predicted: ArousalClass
 
 
-_CLASS_NAMES = {c.name: c for c in ArousalClass}
-
 FIXTURE_INTERVALS_PER_CLIP = 16
 
 # Accuracy figures originally reported for the prototype. The bundled
@@ -198,9 +196,9 @@ def load_table3(path: str | Path | None = None) -> list[TraceRecord]:
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer clip or interval") from None
         for name in (row[2], row[3]):
-            if name not in _CLASS_NAMES:
+            if name not in ArousalClass.__members__:
                 raise ValueError(f"line {lineno}: unknown class {name!r}")
-        records.append(TraceRecord(clip, interval, _CLASS_NAMES[row[2]], _CLASS_NAMES[row[3]]))
+        records.append(TraceRecord(clip, interval, ArousalClass(row[2]), ArousalClass(row[3])))
     return records
 
 

@@ -9,7 +9,7 @@ import json
 import time
 from statistics import median
 
-from biofsm.classifier import ArousalClass, FeatureExtractor, score_frame, FeatureFrame
+from biofsm.classifier import FeatureExtractor, score_frame, FeatureFrame
 from biofsm.fsm import (
     DEFAULT_BROWNOUT_TICKS,
     BenchState,
@@ -203,7 +203,7 @@ def test_criterion_7_mild_outweighs_normal_in_the_overlap():
     for bpm in (60.0, 70.0, 80.0, 84.9):
         for gsr in (15.0, 16.0, 17.5, 19.9):
             scores = score_frame(FeatureFrame(0, 0.0, bpm, gsr))
-            if not scores[ArousalClass.MILD] > scores[ArousalClass.NORMAL]:
+            if not scores[1] > scores[0]:  # MILD over NORMAL
                 violations.append(f"bpm={bpm}, gsr={gsr}: {scores}")
     _check(
         7,

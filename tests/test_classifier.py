@@ -38,7 +38,15 @@ def test_mild_hr_with_mild_gsr_outweighs_normal():
     decision = classify_window([frame(70.0, 17.5)])
     assert decision is not None
     assert decision.arousal is ArousalClass.MILD
-    assert scores[ArousalClass.MILD] > scores[ArousalClass.NORMAL]
+    assert scores[1] > scores[0]  # MILD over NORMAL
+
+
+def test_arousal_class_is_its_name_in_score_order():
+    assert ArousalClass("HIGH") is ArousalClass.HIGH
+    assert list(ArousalClass) == [ArousalClass.NORMAL, ArousalClass.MILD, ArousalClass.HIGH]
+    assert [cls == cls.name for cls in ArousalClass] == [True, True, True]
+    assert "NORMAL" in {ArousalClass.NORMAL}  # hashes as its name, so a set of decisions finds logged names
+    assert score_frame(frame(110.0, 24.0)).index(1.0) == list(ArousalClass).index(ArousalClass.HIGH)
 
 
 @pytest.mark.parametrize("bpm", [60.0, 70.0, 84.9])
@@ -60,32 +68,20 @@ def test_elevated_frame_is_high():
 
 @pytest.mark.parametrize(
     "bpm,band",
-    [
-        (60.0, ArousalClass.NORMAL),
-        (84.999, ArousalClass.NORMAL),
-        (85.0, ArousalClass.MILD),
-        (104.999, ArousalClass.MILD),
-        (105.0, ArousalClass.HIGH),
-        (120.0, ArousalClass.HIGH),
-    ],
+    # band is the score-vector position: 0 NORMAL, 1 MILD, 2 HIGH
+    [(60.0, 0), (84.999, 0), (85.0, 1), (104.999, 1), (105.0, 2), (120.0, 2)],
 )
 def test_heart_rate_band_edges(bpm, band):
-    assert score_frame(frame(bpm, 10.0)) == split(band, ArousalClass.NORMAL)
+    assert score_frame(frame(bpm, 10.0)) == split(list(ArousalClass)[band], ArousalClass.NORMAL)
 
 
 @pytest.mark.parametrize(
     "gsr,band",
-    [
-        (0.0, ArousalClass.NORMAL),
-        (14.999, ArousalClass.NORMAL),
-        (15.0, ArousalClass.MILD),
-        (19.999, ArousalClass.MILD),
-        (20.0, ArousalClass.HIGH),
-        (25.0, ArousalClass.HIGH),
-    ],
+    # band is the score-vector position: 0 NORMAL, 1 MILD, 2 HIGH
+    [(0.0, 0), (14.999, 0), (15.0, 1), (19.999, 1), (20.0, 2), (25.0, 2)],
 )
 def test_gsr_band_edges(gsr, band):
-    assert score_frame(frame(70.0, gsr)) == split(ArousalClass.NORMAL, band)
+    assert score_frame(frame(70.0, gsr)) == split(ArousalClass.NORMAL, list(ArousalClass)[band])
 
 
 @pytest.mark.parametrize("bpm", [59.9, 120.1])

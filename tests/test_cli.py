@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import socket
 import subprocess
 import sys
@@ -213,6 +215,20 @@ def test_simulate_rejects_zero_brownout_ticks(target, tmp_path, monkeypatch, cap
 def test_benchtop_rejects_negative_max_ticks(capsys):
     assert main(["benchtop", "--port", "0", "--max-ticks", "-1"]) == 2
     assert capsys.readouterr().err == "error: max_ticks must be non-negative, got -1\n"
+
+
+def test_benchtop_on_a_busy_port_exits_1_and_closes_its_socket(capsys):
+    # A socket left open would fail this test through the ResourceWarning filter.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        assert main(["benchtop", "--port", str(holder.getsockname()[1]), "--max-ticks", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 98] Address already in use\n")
+
+
+def test_main_restores_the_sigterm_handler():
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["simulate", "--transitions"]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_benchtop_rejects_zero_brownout_ticks_before_touching_its_log(tmp_path, capsys):
@@ -616,3 +632,55 @@ def test_two_processes_over_real_sockets(tmp_path):
     assert len(records) == 40
     assert any(r["input"] == "B" and r["state"] == "MILD" for r in records)
     assert_simulator_agrees(log)
+
+
+def wait_for_ticks(log, ticks, node, timeout_s=20.0):
+    """Wait until `log` holds `ticks` lines, and check that `node` is still running."""
+    deadline = time.monotonic() + timeout_s
+    while not (log.exists() and log.read_text().count("\n") >= ticks):
+        assert node.poll() is None, node.communicate()
+        assert time.monotonic() < deadline, f"{log} has fewer than {ticks} ticks after {timeout_s} s"
+        time.sleep(0.02)
+    assert node.poll() is None, node.communicate()
+
+
+SIGNALLED_NODES = {
+    "benchtop": ["benchtop", "--port", "0", "--log", "benchtop.jsonl"],  # a relative --log lands in $BIOFSM_LOG_DIR
+    # About 116 days of signal: the wearable is still sending when signalled.
+    "duplex": ["wearable", "--duplex", "--port", "0", "--duration-s", "10000000"],
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+@pytest.mark.parametrize("node", SIGNALLED_NODES)
+def test_a_signalled_node_leaves_its_trace(node, sig, tmp_path):
+    """SIGTERM stops a node as Ctrl-C does; after either signal the log is the simulator's trace."""
+    benchtop_log, wearable_log = tmp_path / "benchtop.jsonl", tmp_path / "wearable.jsonl"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "biofsm.cli", *SIGNALLED_NODES[node]],
+        env={**os.environ, "BIOFSM_LOG_DIR": str(tmp_path)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        wait_for_ticks(benchtop_log, 4, process)
+        process.send_signal(sig)
+        out, err = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert_simulator_agrees(benchtop_log)
+    windows = read_jsonl(wearable_log) if node == "duplex" else []  # every line parses, after SIGKILL too
+    if sig == signal.SIGKILL:
+        assert process.returncode == -signal.SIGKILL
+        return
+    assert (process.returncode, err) == (0, "")
+    if node == "benchtop":
+        assert out == f"benchtop: {len(read_jsonl(benchtop_log))} ticks processed\n"
+    else:
+        sent = sum(1 for w in windows if w["byte_sent"] is not None)
+        assert out == f"wearable: {len(windows)} windows closed, {sent} bytes sent\n"
+        assert any(r["input"] in {"A", "B", "C"} for r in read_jsonl(benchtop_log))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from biofsm import nodes
-from biofsm.classifier import FeatureExtractor
+from biofsm.classifier import ArousalClass, FeatureExtractor, WindowDecision
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS, BenchState
 from biofsm.nodes import run_benchtop, run_wearable
 from biofsm.protocol import EndpointConfig, InputSymbol
@@ -22,6 +22,46 @@ def test_failed_sends_are_recorded_as_not_sent(caplog):
     assert all(e.frames_used > 0 for e in emissions)
     assert [e.byte_sent for e in emissions] == [None, None, None]
     assert sum("send failed" in r.getMessage() for r in caplog.records) == 3
+
+
+def test_run_wearable_returns_one_window_decision_per_window():
+    samples = synth_physio(SignalProfile(bpm_start=70.0, gsr_start_us=17.5), 40_000, seed=4)
+    decisions = run_wearable(samples, endpoint=EndpointConfig(port=0))
+    assert [type(d) for d in decisions] == [WindowDecision] * 3
+    assert all(d.arousal is ArousalClass.MILD and d.arousal == "MILD" for d in decisions)
+    assert [d.window_index for d in decisions] == [0, 1, 2]
+
+
+def test_an_undecided_window_is_a_bare_window_decision(tmp_path):
+    # 30 uS is above the supported conductance range, so every frame is dropped.
+    log = tmp_path / "wearable.jsonl"
+    samples = synth_physio(SignalProfile(bpm_start=70.0, gsr_start_us=30.0), 20_000, seed=4)
+    decisions = run_wearable(samples, endpoint=EndpointConfig(port=0), log_path=log)
+    assert decisions == [WindowDecision(0), WindowDecision(1)]
+    null = '"bpm_mean": null, "gsr_mean": null, "arousal": null, "byte_sent": null}'
+    assert log.read_text() == f'{{"window": 0, "frames_used": 0, {null}\n{{"window": 1, "frames_used": 0, {null}\n'
+
+
+def test_node_logs_are_line_buffered(tmp_path):
+    # Each node's log holds every finished line while the node still runs.
+    wearable_log, benchtop_log = tmp_path / "wearable.jsonl", tmp_path / "benchtop.jsonl"
+    windows_logged, ticks_logged = [], []
+
+    def samples():
+        for sample in synth_physio(SignalProfile(bpm_start=70.0, gsr_start_us=17.5), 60_000, seed=1):
+            if sample.timestamp_ms == 45_000.0 and sample.channel is Channel.PPG:
+                windows_logged.append(wearable_log.read_text().count("\n"))  # windows 0 and 1 have closed
+            yield sample
+
+    run_wearable(samples(), endpoint=EndpointConfig(port=0), log_path=wearable_log)
+    assert windows_logged == [2]
+
+    def should_stop():  # called as each tick starts
+        ticks_logged.append(benchtop_log.read_text().count("\n"))
+        return len(ticks_logged) > 3
+
+    run_benchtop(endpoint=EndpointConfig(port=0), tick_ms=1.0, log_path=benchtop_log, should_stop=should_stop)
+    assert ticks_logged == [0, 1, 2, 3]
 
 
 def session(channel=None, field="value", bad=None):
