@@ -22,6 +22,7 @@ DEFAULT_WINDOW_MS = 15000.0
 
 
 class ArousalClass(str, Enum):
+    __str__ = str.__str__  # str() and f-strings give the name, as JSON and logs do
     NORMAL = "NORMAL"
     MILD = "MILD"
     HIGH = "HIGH"

@@ -27,10 +27,10 @@ from pathlib import Path
 
 from .classifier import DEFAULT_WINDOW_MS, LadderConfig
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
-from .nodes import run_benchtop, run_wearable
+from .nodes import DEFAULT_TICK_MS, run_benchtop, run_wearable
 from .protocol import DEFAULT_HOST, DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
-from .sim import DEFAULT_TICK_MS, evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
+from .sim import evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
 
 log = logging.getLogger(__name__)
 
@@ -228,7 +228,8 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
                 )
             finally:
                 stop.set()  # a benchtop that ends first stops the wearable
-            emissions = wearable.result()  # re-raises the wearable's own failure
+            # Re-raises the wearable's own failure; a benchtop that stopped before tick 0 never started it.
+            emissions = [] if wearable is None else wearable.result()
     sent = sum(1 for e in emissions if e.byte_sent is not None)
     print(f"wearable: {len(emissions)} windows closed, {sent} bytes sent")
     return 0
@@ -236,14 +237,14 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
 
 def _cmd_benchtop(args: argparse.Namespace) -> int:
     config = _load_or_default(args, "benchtop")
-    log_path = resolve_log_path(config.log, "benchtop")
-    steps = run_benchtop(
-        endpoint=EndpointConfig(config.host, config.port),
-        tick_ms=config.tick_ms,
-        brownout_ticks=config.brownout_ticks,
-        log_path=log_path,
-        max_ticks=args.max_ticks,
-    )
+    with UdpReceiver(EndpointConfig(config.host, config.port)) as receiver:
+        steps = run_benchtop(
+            receiver,
+            tick_ms=config.tick_ms,
+            brownout_ticks=config.brownout_ticks,
+            log_path=resolve_log_path(config.log, "benchtop"),
+            max_ticks=args.max_ticks,
+        )
     print(f"benchtop: {len(steps)} ticks processed")
     return 0
 

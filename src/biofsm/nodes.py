@@ -1,9 +1,9 @@
 """Runnable node loops: wearable sender and benchtop receiver.
 
 Both nodes append one JSON line per unit of work to a session log when a log
-path is given: the wearable per closed window, the benchtop per tick. The
-logs are complete records of a run, so a session can be audited or diffed
-after the fact.
+path is given: the wearable per closed window, the benchtop per tick, so a
+run can be audited or diffed after the fact. `replay_script` sends a tick
+script over loopback UDP to the benchtop's own loop, one datagram per tick.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ import math
 import time
 from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, WindowDecision, classify_window
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
-from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
+from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import PhysioSample
-from .sim import DEFAULT_TICK_MS, SimStep, iter_steps
+from .sim import SimStep, iter_steps
 
 log = logging.getLogger(__name__)
+DEFAULT_TICK_MS = 50.0  # one tick of wall time on the live and wire paths
 
 
 def _open_log(path: str | Path | None) -> AbstractContextManager[IO[str] | None]:
@@ -48,7 +49,8 @@ def run_wearable(
     sent; the benchtop's silence handling covers that case. A send that
     fails is logged and recorded with no byte sent. Samples with a non-finite
     value or timestamp are skipped, and their count is logged once at the
-    end. An empty stream emits nothing and returns cleanly.
+    end. An empty stream emits nothing and returns cleanly. Ctrl-C ends the
+    stream: the partial window is flushed, classified and logged.
     """
     extractor = FeatureExtractor()
     accumulator = WindowAccumulator(ladder)
@@ -57,14 +59,19 @@ def run_wearable(
         def handle(closed_windows: list[ClosedWindow]) -> None:
             for closed in closed_windows:
                 decision = _emit_window(closed, sender)
+                # Rendered first: Ctrl-C while rendering leaves the window out of both.
+                line = None if log_file is None else json.dumps(decision.record()) + "\n"
                 decisions.append(decision)
-                if log_file is not None:
-                    log_file.write(json.dumps(decision.record()) + "\n")
+                if line is not None:
+                    log_file.write(line)
 
-        for sample in samples:
-            frame = extractor.add(sample)
-            if frame is not None:
-                handle(accumulator.add(frame))
+        try:
+            for sample in samples:
+                frame = extractor.add(sample)
+                if frame is not None:
+                    handle(accumulator.add(frame))
+        except KeyboardInterrupt:
+            log.info("wearable interrupted, stopping")
         handle(accumulator.flush())
     if extractor.non_finite:
         log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
@@ -91,25 +98,23 @@ def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowDecision:
 
 
 def run_benchtop(
-    endpoint: EndpointConfig | None = None,
+    receiver: UdpReceiver,
     tick_ms: float = DEFAULT_TICK_MS,
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
     log_path: str | Path | None = None,
     max_ticks: int | None = None,
-    receiver: UdpReceiver | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> list[SimStep]:
     """Tick the actuation machine against live datagrams until stopped.
 
-    Settings are checked before the log is opened and, when no `receiver`
-    is passed, before `endpoint` is bound. A `receiver` passed in stays open.
-    The schedule is fixed-rate: tick k ends at t0 + (k+1)·tick_ms, where t0
-    is when ticking starts; a late tick polls for 0 s and the loop catches
-    up. `poll_receive` gives ABSENT for a tick with nothing received, so
-    silence counts in ticks of wall time. Stops after `max_ticks` if given,
-    when `should_stop` turns true at a tick boundary, or on Ctrl-C at any
-    point of a tick. Every tick appends its `SimStep.line()` to the log, the
-    simulator's trace line, and is in the steps returned.
+    The caller binds `receiver` and closes it; settings are checked before
+    the log is opened. The schedule is fixed-rate: tick k ends at
+    t0 + (k+1)·tick_ms, where t0 is when ticking starts; a late tick polls
+    for 0 s and the loop catches up. A tick with nothing received is ABSENT,
+    so silence counts in ticks of wall time. Stops after `max_ticks`, when
+    `should_stop` (called just before each tick's poll) turns true, or on
+    Ctrl-C at any point of a tick. Every tick appends its `SimStep.line()`,
+    the simulator's trace line, to the log and to the steps returned.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
@@ -117,10 +122,7 @@ def run_benchtop(
     if max_ticks is not None and max_ticks < 0:
         raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")
     steps: list[SimStep] = []
-    with (
-        _open_log(log_path) as log_file,
-        UdpReceiver(endpoint) if receiver is None else nullcontext(receiver) as receiver,
-    ):
+    with _open_log(log_path) as log_file:
         log.info("benchtop listening on %s:%d", receiver.config.host, receiver.port)
         try:
             for step in iter_steps(_received(receiver, tick_ms, max_ticks, should_stop), brownout_ticks):
@@ -140,6 +142,29 @@ def run_benchtop(
         except KeyboardInterrupt:
             log.info("benchtop interrupted, stopping")
     return steps
+
+
+def replay_script(
+    script: Sequence[InputSymbol],
+    tick_ms: float = DEFAULT_TICK_MS,
+    drop_ticks: set[int] | None = None,
+    brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
+) -> list[SimStep]:
+    """Run `run_benchtop` over real loopback UDP, sending tick k's datagram just before its poll.
+
+    Scripted ABSENT ticks send nothing, as do ticks in `drop_ticks` (loss in
+    flight); UNRECOGNIZED ticks send a byte outside the protocol alphabet.
+    The returned steps carry the symbols as seen on the wire.
+    """
+    ticks = enumerate(script)
+    with UdpReceiver(EndpointConfig(port=0)) as receiver, UdpSender(EndpointConfig(port=receiver.port)) as sender:
+        def send_next() -> bool:
+            index, symbol = next(ticks)
+            if symbol is not InputSymbol.ABSENT and index not in (drop_ticks or ()):
+                sender.send_raw(PAYLOADS.get(symbol, b"?"))
+            return False
+
+        return run_benchtop(receiver, tick_ms, brownout_ticks, max_ticks=len(script), should_stop=send_next)
 
 
 def _received(

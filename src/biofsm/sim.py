@@ -2,9 +2,8 @@
 
 The simulator drives the benchtop machine with a scripted symbol per tick on
 a purely virtual clock: tick indices are the only notion of time, so runs
-are reproducible byte for byte. The same scripts can instead be replayed
-over a real loopback UDP socket pair (`replay_script`) to show the wire path
-produces the identical trace.
+are reproducible byte for byte. `iter_steps` is also the live benchtop's
+tick loop, which `nodes.replay_script` drives with a script over UDP.
 
 Evaluation compares self-reported arousal against predictions for the
 bundled three-clip study fixture and reports exact-match accuracy per clip,
@@ -29,13 +28,11 @@ from .fsm import (
     FsmRuntime,
     tick,
 )
-from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender
+from .protocol import InputSymbol
 
 # Token -> symbol, probed once per script line by `parse_script`: a dict
 # lookup, because calling InputSymbol(token) costs about twenty times as much.
 _TOKENS = {symbol.value: symbol for symbol in InputSymbol}
-
-DEFAULT_TICK_MS = 50.0  # one tick of wall time on the live and wire paths
 
 
 class ScriptError(ValueError):
@@ -123,32 +120,6 @@ def run_simulation(
 def serialize_trace(steps: Iterable[SimStep]) -> str:
     """Render steps as JSON lines. Stable key order, LF endings."""
     return "".join(step.line() for step in steps)
-
-
-def replay_script(
-    script: Sequence[InputSymbol],
-    tick_ms: float = DEFAULT_TICK_MS,
-    drop_ticks: set[int] | None = None,
-    brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
-) -> list[SimStep]:
-    """Replay a script over real loopback UDP, lockstep one datagram per tick.
-
-    Scripted ABSENT ticks send nothing, as do ticks listed in `drop_ticks`
-    (simulating loss in flight); UNRECOGNIZED ticks send a byte outside the
-    protocol alphabet. The receiver classifies each tick from what actually
-    arrived, so the returned steps carry the symbols as seen on the wire.
-    """
-    drop_ticks = drop_ticks or set()
-    with UdpReceiver(EndpointConfig(port=0)) as receiver:
-        endpoint = EndpointConfig(port=receiver.port)
-        with UdpSender(endpoint) as sender:
-            def observed() -> Iterator[InputSymbol]:
-                for index, symbol in enumerate(script):
-                    if symbol is not InputSymbol.ABSENT and index not in drop_ticks:
-                        sender.send_raw(PAYLOADS.get(symbol, b"?"))
-                    yield receiver.poll_receive(tick_ms / 1000.0)
-
-            return list(iter_steps(observed(), brownout_ticks))
 
 
 @dataclass

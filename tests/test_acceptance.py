@@ -17,6 +17,7 @@ from biofsm.fsm import (
     tick,
     verify_determinism,
 )
+from biofsm.nodes import replay_script
 from biofsm.protocol import InputSymbol
 from biofsm.signals import (
     Channel,
@@ -28,7 +29,6 @@ from biofsm.signals import (
 from biofsm.sim import (
     evaluate_table3,
     load_table3,
-    replay_script,
     run_simulation,
     serialize_trace,
 )

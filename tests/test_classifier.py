@@ -49,6 +49,11 @@ def test_arousal_class_is_its_name_in_score_order():
     assert score_frame(frame(110.0, 24.0)).index(1.0) == list(ArousalClass).index(ArousalClass.HIGH)
 
 
+def test_arousal_class_prints_as_its_name():
+    assert [str(cls) for cls in ArousalClass] == [f"{cls}" for cls in ArousalClass] == ["NORMAL", "MILD", "HIGH"]
+    assert sorted(map(str, {ArousalClass.HIGH, ArousalClass.MILD, None})) == ["HIGH", "MILD", "None"]
+
+
 @pytest.mark.parametrize("bpm", [60.0, 70.0, 84.9])
 @pytest.mark.parametrize("gsr", [15.0, 17.5, 19.9])
 def test_mild_band_grid(bpm, gsr):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from biofsm import cli
 from biofsm.cli import ConfigError, NodeConfig, _load_or_default, build_parser, main, resolve_log_path
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS
 from biofsm.protocol import InputSymbol
@@ -222,6 +223,14 @@ def test_benchtop_on_a_busy_port_exits_1_and_closes_its_socket(capsys):
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
         holder.bind(("127.0.0.1", 0))
         assert main(["benchtop", "--port", str(holder.getsockname()[1]), "--max-ticks", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 98] Address already in use\n")
+
+
+def test_benchtop_reports_a_busy_port_before_a_bad_tick(capsys):
+    # The receiver is bound before `run_benchtop` checks its settings, as in `wearable --duplex`.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        assert main(["benchtop", "--port", str(holder.getsockname()[1]), "--tick-ms", "0"]) == 1
     assert capsys.readouterr() == ("", "error: [Errno 98] Address already in use\n")
 
 
@@ -589,6 +598,14 @@ def test_duplex_rejects_a_benchtop_setting_before_starting(flags, message, tmp_p
     assert list(tmp_path.iterdir()) == []  # no window closed, no benchtop log opened
 
 
+def test_duplex_whose_benchtop_stops_before_tick_0_closed_no_window(tmp_path, monkeypatch, capsys):
+    # As when Ctrl-C lands after the benchtop's log opens and before its first tick.
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "run_benchtop", lambda receiver, **settings: [])
+    assert main(["wearable", "--duplex", "--port", "0", "--duration-s", "20"]) == 0
+    assert capsys.readouterr() == ("wearable: 0 windows closed, 0 bytes sent\n", "")
+
+
 @pytest.mark.slow
 def test_two_processes_over_real_sockets(tmp_path):
     port = free_udp_port()
@@ -648,6 +665,8 @@ SIGNALLED_NODES = {
     "benchtop": ["benchtop", "--port", "0", "--log", "benchtop.jsonl"],  # a relative --log lands in $BIOFSM_LOG_DIR
     # About 116 days of signal: the wearable is still sending when signalled.
     "duplex": ["wearable", "--duplex", "--port", "0", "--duration-s", "10000000"],
+    # Sent to the discard port: a UDP send succeeds whether or not anything listens there.
+    "wearable": ["wearable", "--port", "9", "--duration-s", "10000000"],
 }
 
 
@@ -655,7 +674,7 @@ SIGNALLED_NODES = {
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
 @pytest.mark.parametrize("node", SIGNALLED_NODES)
 def test_a_signalled_node_leaves_its_trace(node, sig, tmp_path):
-    """SIGTERM stops a node as Ctrl-C does; after either signal the log is the simulator's trace."""
+    """SIGTERM stops a node as Ctrl-C does; after either signal a benchtop log is the simulator's trace."""
     benchtop_log, wearable_log = tmp_path / "benchtop.jsonl", tmp_path / "wearable.jsonl"
     process = subprocess.Popen(
         [sys.executable, "-m", "biofsm.cli", *SIGNALLED_NODES[node]],
@@ -665,15 +684,16 @@ def test_a_signalled_node_leaves_its_trace(node, sig, tmp_path):
         text=True,
     )
     try:
-        wait_for_ticks(benchtop_log, 4, process)
+        wait_for_ticks(wearable_log if node == "wearable" else benchtop_log, 4, process)
         process.send_signal(sig)
         out, err = process.communicate(timeout=30)
     finally:
         if process.poll() is None:
             process.kill()
             process.communicate()
-    assert_simulator_agrees(benchtop_log)
-    windows = read_jsonl(wearable_log) if node == "duplex" else []  # every line parses, after SIGKILL too
+    if node != "wearable":
+        assert_simulator_agrees(benchtop_log)
+    windows = read_jsonl(wearable_log) if node != "benchtop" else []  # every line parses, after SIGKILL too
     if sig == signal.SIGKILL:
         assert process.returncode == -signal.SIGKILL
         return
@@ -683,4 +703,5 @@ def test_a_signalled_node_leaves_its_trace(node, sig, tmp_path):
     else:
         sent = sum(1 for w in windows if w["byte_sent"] is not None)
         assert out == f"wearable: {len(windows)} windows closed, {sent} bytes sent\n"
+    if node == "duplex":
         assert any(r["input"] in {"A", "B", "C"} for r in read_jsonl(benchtop_log))

@@ -9,7 +9,7 @@ from biofsm import nodes
 from biofsm.classifier import ArousalClass, FeatureExtractor, WindowDecision
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS, BenchState
 from biofsm.nodes import run_benchtop, run_wearable
-from biofsm.protocol import EndpointConfig, InputSymbol
+from biofsm.protocol import EndpointConfig, InputSymbol, UdpReceiver
 from biofsm.signals import Channel, SignalProfile, synth_physio
 
 
@@ -60,7 +60,8 @@ def test_node_logs_are_line_buffered(tmp_path):
         ticks_logged.append(benchtop_log.read_text().count("\n"))
         return len(ticks_logged) > 3
 
-    run_benchtop(endpoint=EndpointConfig(port=0), tick_ms=1.0, log_path=benchtop_log, should_stop=should_stop)
+    with UdpReceiver(EndpointConfig(port=0)) as receiver:
+        run_benchtop(receiver, tick_ms=1.0, log_path=benchtop_log, should_stop=should_stop)
     assert ticks_logged == [0, 1, 2, 3]
 
 
@@ -107,7 +108,7 @@ def test_extractor_skips_and_counts_non_finite_samples(channel, field, bad):
 @pytest.mark.parametrize("tick_ms", [float("nan"), float("inf"), 0.0, -1.0])
 def test_benchtop_rejects_a_tick_that_is_not_finite_and_positive(tick_ms):
     with pytest.raises(ValueError, match="tick_ms"):
-        run_benchtop(tick_ms=tick_ms, max_ticks=1)
+        run_benchtop(StubReceiver(FakeClock()), tick_ms=tick_ms, max_ticks=1)
 
 
 TICK_S = 0.010

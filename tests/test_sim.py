@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from biofsm.classifier import ArousalClass
 from biofsm.fsm import ACTUATION, DEFAULT_BROWNOUT_TICKS, BenchState, FsmRuntime, tick, verify_determinism
+from biofsm.nodes import replay_script
 from biofsm.protocol import CLASS_SYMBOLS, InputSymbol
 from biofsm.sim import (
     ScriptError,
@@ -16,7 +17,6 @@ from biofsm.sim import (
     load_script,
     load_table3,
     parse_script,
-    replay_script,
     run_simulation,
     serialize_trace,
 )
@@ -329,6 +329,15 @@ def test_wire_outage_browns_out_and_recovers():
     assert wire[0].state is BenchState.HIGH
     assert wire[10].state is BenchState.BROWNOUT
     assert wire[11].state is BenchState.NORMAL
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(list(InputSymbol)), max_size=40), st.sets(st.integers(0, 39)))
+def test_wire_replay_is_the_simulation_with_each_dropped_tick_absent(script, drop_ticks):
+    # The benchtop's own tick loop, fed over loopback UDP, against the proven machine.
+    heard = [ABSENT if k in drop_ticks else symbol for k, symbol in enumerate(script)]
+    wire = replay_script(script, tick_ms=2.0, drop_ticks=drop_ticks)
+    assert serialize_trace(wire) == serialize_trace(run_simulation(heard))
 
 
 def test_end_to_end_fixture_replay():
