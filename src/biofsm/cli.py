@@ -96,10 +96,7 @@ class NodeConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "role" not in data:
             raise ConfigError("config must set 'role'")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**data)
 
     @classmethod
     def load(cls, path: str | Path) -> "NodeConfig":
@@ -108,10 +105,11 @@ class NodeConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         try:
-            data = json.loads(text)
+            return cls.from_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-        return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _is_number(value) -> bool:

@@ -15,10 +15,12 @@ import socket
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import TypeVar
 
 from .classifier import ArousalClass
 
 log = logging.getLogger(__name__)
+_Socket = TypeVar("_Socket", bound="_UdpSocket")
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8888
@@ -71,7 +73,22 @@ class EndpointConfig:
             raise ValueError(f"port {self.port} outside 0-65535")
 
 
-class UdpSender:
+class _UdpSocket:
+    """The one socket each end of the link owns, closed by `close` or `with`."""
+
+    _sock: socket.socket
+
+    def close(self) -> None:
+        self._sock.close()
+
+    def __enter__(self: _Socket) -> _Socket:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class UdpSender(_UdpSocket):
     """Fire-and-forget datagram sender for the wearable node."""
 
     def __init__(self, config: EndpointConfig | None = None):
@@ -87,17 +104,8 @@ class UdpSender:
             log.warning("send to %s:%d failed: %s", self.config.host, self.config.port, exc)
             return False
 
-    def close(self) -> None:
-        self._sock.close()
 
-    def __enter__(self) -> "UdpSender":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class UdpReceiver:
+class UdpReceiver(_UdpSocket):
     """Non-blocking datagram receiver for the benchtop node.
 
     Port 0 binds an ephemeral port; the actual port is exposed as `.port`
@@ -120,40 +128,21 @@ class UdpReceiver:
 
         Several datagrams landing in one tick collapse to the last: the
         benchtop reacts to the most recent report, not the backlog. Returns
-        ABSENT when the window closes with nothing received.
+        ABSENT when the window closes with nothing received. The drain after
+        the last wait catches a datagram that raced the deadline.
         """
         deadline = time.monotonic() + timeout_s
         newest: bytes | None = None
         while True:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            readable, _, _ = select.select([self._sock], [], [], remaining)
+            readable = remaining > 0 and select.select([self._sock], [], [], remaining)[0]
+            newest = self._drain(newest)
             if not readable:
-                break
-            drained = self._drain()
-            if drained is not None:
-                newest = drained
-        # One last drain catches a datagram that raced the deadline.
-        final = self._drain()
-        if final is not None:
-            newest = final
-        return InputSymbol.ABSENT if newest is None else decode_payload(newest)
+                return InputSymbol.ABSENT if newest is None else decode_payload(newest)
 
-    def _drain(self) -> bytes | None:
-        newest: bytes | None = None
+    def _drain(self, newest: bytes | None) -> bytes | None:
         while True:
             try:
-                payload, _ = self._sock.recvfrom(4096)
+                newest, _ = self._sock.recvfrom(4096)
             except BlockingIOError:
                 return newest
-            newest = payload
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self) -> "UdpReceiver":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

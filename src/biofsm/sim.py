@@ -145,12 +145,19 @@ def load_table3(path: str | Path | None = None) -> list[TraceRecord]:
     """Load the study fixture CSV; the packaged copy is used by default."""
     if path is None:
         source = resources.files("biofsm").joinpath("data/table3.csv")
-        text = source.read_text(encoding="utf-8")
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValueError(f"cannot read fixture {path}: {exc}") from None
+        return _parse_table3(source.read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read fixture {path}: {exc}") from None
+    try:
+        return _parse_table3(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_table3(text: str) -> list[TraceRecord]:
+    """Parse the study fixture CSV, naming the offending line of a bad row."""
     reader = csv.reader(text.splitlines())
     header = next(reader, None)
     if header != ["clip", "interval", "self_report", "predicted"]:

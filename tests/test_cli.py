@@ -109,7 +109,7 @@ def test_wrongly_typed_config_file_exits_2(role, extra, fields, message, tmp_pat
     path = tmp_path / "node.json"
     path.write_text(json.dumps({"role": role, **fields}))
     assert main([role, "--config", str(path), *extra]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 # Every field a flag can override, set in a config file; the flags below
@@ -279,6 +279,25 @@ def test_a_missing_input_file_exits_2(argv, kind, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: cannot read {kind} {path}: {reason}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["simulate"], "A\nZZ\n", "line 2: unknown symbol 'ZZ' (expected A, B, C, X or -)"),
+        (["wearable", "--trace"], "timestamp_ms,channel,value\n0,EEG,1\n", "line 2: unknown channel 'EEG'"),
+        (["benchtop", "--config"], "[1, 2]", "config root must be a JSON object"),
+        (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n1,0,NORMAL\n", "line 2: expected 4 fields, got 3"),
+        # the blank row is skipped, and line numbers still count it
+        (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n\none,1,MILD,MILD\n", "line 3: non-integer clip or interval"),
+    ],
+    ids=["simulate", "wearable", "benchtop", "evaluate-fields", "evaluate-integer"],
+)
+def test_a_malformed_input_file_is_named(argv, content, message, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(content)
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 def test_evaluate_table(capsys):
     assert main(["evaluate"]) == 0
     out = capsys.readouterr().out
@@ -403,6 +422,8 @@ def test_wearable_rejects_a_non_finite_duration(duration, capsys):
         (["--gsr", "inf"], "gsr_start_us must be finite, got inf"),
         (["--ppg-noise", "inf"], "ppg_noise must be finite, got inf"),
         (["--gsr-noise", "-1"], "gsr_noise_us must be non-negative, got -1.0"),
+        (["--bpm", "1:2:3"], "--bpm expects START or START:END, got '1:2:3'"),
+        (["--gsr", "10:x"], "--gsr expects START or START:END, got '10:x'"),
     ],
 )
 def test_wearable_rejects_bad_synthesis_parameters(flags, message, capsys):

@@ -17,6 +17,7 @@ from biofsm.fsm import (
     verify_determinism,
 )
 from biofsm import fsm, sim
+from biofsm.cli import main
 from biofsm.protocol import PAYLOADS, InputSymbol
 
 VALID = (InputSymbol.VALID_A, InputSymbol.VALID_B, InputSymbol.VALID_C)
@@ -172,6 +173,24 @@ def test_enumeration_flags_a_successor_outside_the_machine(monkeypatch):
         report = verify_determinism()
         assert not report.deterministic
         assert len(report.conflicts) == report.configurations_checked
+
+
+def test_enumeration_rejects_a_mutant_that_lets_silence_pick_a_valid_target(monkeypatch, capsys):
+    real_tick = fsm.tick
+
+    def mutant(runtime, symbol):
+        # A after any silence lands in HIGH, as C would
+        if symbol is InputSymbol.VALID_A and runtime.silence_ticks > 0:
+            return real_tick(runtime, InputSymbol.VALID_C)
+        return real_tick(runtime, symbol)
+
+    monkeypatch.setattr(fsm, "tick", mutant)
+    report = verify_determinism()
+    assert not report.deterministic
+    assert report.conflicts == [f"({state.name}, VALID_A) has successors ['HIGH', 'NORMAL']" for state in BenchState]
+    assert main(["simulate", "--transitions"]) == 1
+    out = capsys.readouterr().out
+    assert "HIGH/NORMAL" in out and out.endswith(": NON-DETERMINISTIC\n")
 
 
 @settings(max_examples=60)

@@ -1,3 +1,5 @@
+import select
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,3 +90,15 @@ def test_unknown_byte_on_the_wire_decodes_unrecognized():
 def test_oversized_send_is_dropped_not_raised():
     with UdpSender(EndpointConfig(port=9)) as sender:
         assert sender.send_raw(b"x" * 70000) is False
+
+
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0])
+def test_a_poll_with_no_time_left_still_drains_once(timeout_s):
+    with UdpReceiver(EndpointConfig(port=0)) as receiver:
+        with UdpSender(EndpointConfig(port=receiver.port)) as sender:
+            sender.send_raw(encode_class(ArousalClass.MILD))
+            # Loopback delivery is not instant; a generous poll proves the
+            # datagram is queued without reading it.
+            assert select.select([receiver._sock], [], [], 1.0)[0]
+            assert receiver.poll_receive(timeout_s) is InputSymbol.VALID_B
+        assert receiver.poll_receive(0.0) is InputSymbol.ABSENT
