@@ -1,6 +1,6 @@
 """Command line entry points.
 
-Four verbs cover the two nodes and the offline tools:
+Four verbs cover the two nodes and the offline tools (`sim`, `evaluate`):
 
   biofsm wearable   stream synthetic or recorded signals, send class bytes
   biofsm benchtop   receive class bytes, drive the actuation machine
@@ -26,11 +26,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import DEFAULT_WINDOW_MS, LadderConfig
+from .evaluate import evaluate_table3, load_table3, render_report
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
 from .nodes import DEFAULT_TICK_MS, run_benchtop, run_wearable
 from .protocol import DEFAULT_HOST, DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
-from .sim import evaluate_table3, load_script, load_table3, run_simulation, serialize_trace
+from .sim import load_script, run_simulation, serialize_trace
 
 log = logging.getLogger(__name__)
 
@@ -266,12 +267,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    records = load_table3(args.fixture)
-    report = evaluate_table3(records)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
+    report = evaluate_table3(load_table3(args.fixture))
+    print(json.dumps(report, indent=2) if args.json else render_report(report))
     return 0
 
 

@@ -148,6 +148,7 @@ def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> Determin
     hold several successors because the silence counter, not the state,
     picks between staying put and browning out.
     """
+    FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
     successors: dict[tuple[BenchState, InputSymbol], set[BenchState]] = {
         (state, symbol): set() for state, symbol in itertools.product(BenchState, InputSymbol)
     }

@@ -10,6 +10,7 @@ import time
 from statistics import median
 
 from biofsm.classifier import FeatureExtractor, score_frame, FeatureFrame
+from biofsm.evaluate import evaluate_table3, load_table3, render_report
 from biofsm.fsm import (
     DEFAULT_BROWNOUT_TICKS,
     BenchState,
@@ -26,12 +27,7 @@ from biofsm.signals import (
     SignalProfile,
     synth_physio,
 )
-from biofsm.sim import (
-    evaluate_table3,
-    load_table3,
-    run_simulation,
-    serialize_trace,
-)
+from biofsm.sim import run_simulation, serialize_trace
 
 A, B, C = InputSymbol.VALID_A, InputSymbol.VALID_B, InputSymbol.VALID_C
 X, ABSENT = InputSymbol.UNRECOGNIZED, InputSymbol.ABSENT
@@ -118,7 +114,7 @@ def test_criterion_3_actuation_map_is_bit_exact_in_the_log():
 def test_criterion_4_fixture_accuracy_with_discrepancy_flag():
     records = load_table3()
     report = evaluate_table3(records)
-    by_clip = {c.clip_id: c for c in report.clips}
+    by_clip = {c["clip"]: c for c in report["clips"]}
 
     # independent recount straight off the raw CSV, no shared code path
     from importlib import resources
@@ -132,24 +128,25 @@ def test_criterion_4_fixture_accuracy_with_discrepancy_flag():
 
     ok = (
         len(rows) == 48
-        and (by_clip[1].matches, by_clip[2].matches, by_clip[3].matches) == (9, 5, 5)
+        and (by_clip[1]["matches"], by_clip[2]["matches"], by_clip[3]["matches"]) == (9, 5, 5)
         and (recount[1], recount[2], recount[3]) == (9, 5, 5)
-        and abs(by_clip[1].percent - 56.25) < 1e-9
-        and abs(by_clip[2].percent - 31.25) < 1e-9
-        and abs(by_clip[3].percent - 31.25) < 1e-9
-        and by_clip[1].reported_percent == 66.67
-        and by_clip[2].reported_percent == 13.0
-        and by_clip[3].reported_percent == 43.75
-        and report.reported_average == 41.0
-        and report.discrepancies == [1, 2, 3]
-        and "differs" in report.render()
+        and by_clip[1]["accuracy_percent"] == 56.25
+        and by_clip[2]["accuracy_percent"] == 31.25
+        and by_clip[3]["accuracy_percent"] == 31.25
+        and report["average_percent"] == 39.58
+        and by_clip[1]["reported_percent"] == 66.67
+        and by_clip[2]["reported_percent"] == 13.0
+        and by_clip[3]["reported_percent"] == 43.75
+        and report["reported_average_percent"] == 41.0
+        and report["discrepancy_clips"] == [1, 2, 3]
+        and "differs" in render_report(report)
     )
     _check(
         4,
         "fixture scores 9/16, 5/16, 5/16 and flags the reported figures",
         ok,
-        f"computed {[c.matches for c in report.clips]} vs reported "
-        f"{[c.reported_percent for c in report.clips]}, flagged {report.discrepancies}",
+        f"computed {[c['matches'] for c in report['clips']]} vs reported "
+        f"{[c['reported_percent'] for c in report['clips']]}, flagged {report['discrepancy_clips']}",
     )
 
 

@@ -288,8 +288,10 @@ def test_a_missing_input_file_exits_2(argv, kind, tmp_path, capsys):
         (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n1,0,NORMAL\n", "line 2: expected 4 fields, got 3"),
         # the blank row is skipped, and line numbers still count it
         (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n\none,1,MILD,MILD\n", "line 3: non-integer clip or interval"),
+        (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n", "no records to evaluate"),
+        (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n1,1,MILD,MILD\n", "clip 1 has 1 intervals, expected 16"),
     ],
-    ids=["simulate", "wearable", "benchtop", "evaluate-fields", "evaluate-integer"],
+    ids=["simulate", "wearable", "benchtop", "evaluate-fields", "evaluate-integer", "evaluate-empty", "evaluate-short-clip"],
 )
 def test_a_malformed_input_file_is_named(argv, content, message, tmp_path, capsys):
     path = tmp_path / "input"
@@ -319,7 +321,7 @@ def test_evaluate_rejects_a_clip_that_repeats_an_interval(tmp_path, capsys):
     fixture = tmp_path / "fixture.csv"
     fixture.write_text(bundled.replace("\n1,5,NORMAL,NORMAL\n", "\n1,4,MILD,MILD\n"))
     assert main(["evaluate", "--fixture", str(fixture)]) == 2
-    assert capsys.readouterr() == ("", "error: clip 1 repeats interval 4\n")
+    assert capsys.readouterr() == ("", f"error: {fixture}: clip 1 repeats interval 4\n")
 
 
 def test_evaluate_flags_a_row_exactly_when_its_clip_is_a_discrepancy(tmp_path, capsys):

@@ -18,6 +18,7 @@ def test_readme_library_snippet_runs(capsys):
     assert "deterministic" in out
     assert "HIGH (255, 0, 0)" in out
     assert "['MILD', 'MILD']" in out
+    assert "average 39.58% (reported 41.00%)" in out
 
 
 def test_readme_duplex_quick_start_runs(tmp_path, monkeypatch, capsys):

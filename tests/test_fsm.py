@@ -155,6 +155,15 @@ def test_exhaustive_enumeration_is_deterministic_and_fast():
         assert state.name in table
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_enumeration_rejects_a_budget_below_one_tick(budget, capsys):
+    # An empty enumeration would otherwise print a vacuous "deterministic".
+    with pytest.raises(ValueError, match=r"^brownout_ticks must be >= 1$"):
+        verify_determinism(budget)
+    assert main(["simulate", "--transitions", "--brownout-ticks", str(budget)]) == 2
+    assert capsys.readouterr() == ("", "error: brownout_ticks must be >= 1\n")
+
+
 def test_enumeration_flags_a_successor_outside_the_machine(monkeypatch):
     import biofsm.fsm as fsm
 

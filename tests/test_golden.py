@@ -23,6 +23,7 @@ STDOUT_CASES = {
     "outage.jsonl": ["simulate", str(ROOT / "demo" / "outage.script")],
     "transitions.txt": ["simulate", "--transitions"],
     "evaluate.json": ["evaluate", "--json"],
+    "evaluate.txt": ["evaluate"],
 }
 # Wearable session logs; the second run reaches all three classes, drops
 # out-of-range frames and leaves windows undecided.

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biofsm.classifier import ArousalClass
+from biofsm.evaluate import TraceRecord, evaluate_table3, load_table3, render_report
 from biofsm.fsm import ACTUATION, DEFAULT_BROWNOUT_TICKS, BenchState, FsmRuntime, tick, verify_determinism
 from biofsm.nodes import replay_script
 from biofsm.protocol import CLASS_SYMBOLS, InputSymbol
 from biofsm.sim import (
     ScriptError,
     SimStep,
-    TraceRecord,
-    evaluate_table3,
     iter_steps,
     load_script,
-    load_table3,
     parse_script,
     run_simulation,
     serialize_trace,
@@ -244,26 +242,26 @@ def test_bundled_fixture_shape():
 
 def test_fixture_accuracy_counts():
     report = evaluate_table3(load_table3())
-    by_clip = {c.clip_id: c for c in report.clips}
-    assert (by_clip[1].matches, by_clip[2].matches, by_clip[3].matches) == (9, 5, 5)
-    assert by_clip[1].percent == pytest.approx(56.25)
-    assert by_clip[2].percent == pytest.approx(31.25)
-    assert by_clip[3].percent == pytest.approx(31.25)
-    assert report.average_percent == pytest.approx(39.5833, abs=0.001)
+    by_clip = {c["clip"]: c for c in report["clips"]}
+    assert (by_clip[1]["matches"], by_clip[2]["matches"], by_clip[3]["matches"]) == (9, 5, 5)
+    assert by_clip[1]["accuracy_percent"] == 56.25
+    assert by_clip[2]["accuracy_percent"] == 31.25
+    assert by_clip[3]["accuracy_percent"] == 31.25
+    assert report["average_percent"] == 39.58
 
 
 def test_fixture_discrepancy_is_flagged():
     report = evaluate_table3(load_table3())
-    by_clip = {c.clip_id: c for c in report.clips}
-    assert by_clip[1].reported_percent == 66.67
-    assert by_clip[2].reported_percent == 13.0
-    assert by_clip[3].reported_percent == 43.75
-    assert report.reported_average == 41.0
-    assert report.discrepancies == [1, 2, 3]
-    rendered = report.render()
+    by_clip = {c["clip"]: c for c in report["clips"]}
+    assert by_clip[1]["reported_percent"] == 66.67
+    assert by_clip[2]["reported_percent"] == 13.0
+    assert by_clip[3]["reported_percent"] == 43.75
+    assert report["reported_average_percent"] == 41.0
+    assert report["discrepancy_clips"] == [1, 2, 3]
+    rendered = render_report(report)
     assert "differs" in rendered
     assert "not" in rendered and "reproducible" in rendered
-    payload = report.to_dict()
+    payload = json.loads(json.dumps(report))
     assert payload["discrepancy_clips"] == [1, 2, 3]
     assert payload["reported_average_percent"] == 41.0
 
@@ -273,8 +271,8 @@ def test_perfect_agreement_scores_100():
         TraceRecord(7, i, ArousalClass.NORMAL, ArousalClass.NORMAL) for i in range(16)
     ]
     report = evaluate_table3(records)
-    assert report.clips[0].percent == 100.0
-    assert report.discrepancies == []  # no reported figure to disagree with
+    assert report["clips"][0]["accuracy_percent"] == 100.0
+    assert report["discrepancy_clips"] == []  # no reported figure to disagree with
 
 
 def test_partial_clip_is_rejected():
@@ -294,7 +292,7 @@ def test_custom_fixture_file(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     records = load_table3(path)
     assert len(records) == 16
-    assert evaluate_table3(records).clips[0].percent == 100.0
+    assert evaluate_table3(records)["clips"][0]["accuracy_percent"] == 100.0
 
 
 def test_fixture_loader_rejects_garbage(tmp_path):
