@@ -116,7 +116,7 @@ def evaluate_table3(records: Sequence[TraceRecord]) -> dict:
     return {
         "clips": clips,
         "average_percent": round(sum(c["accuracy_percent"] for c in clips) / len(clips), 2),
-        "reported_average_percent": REPORTED_AVERAGE,
+        "reported_average_percent": REPORTED_AVERAGE if any(c["reported_percent"] is not None for c in clips) else None,
         "discrepancy_clips": [c["clip"] for c in clips if c["reported_percent"] not in (None, c["accuracy_percent"])],
     }
 
@@ -129,7 +129,9 @@ def render_report(report: dict) -> str:
         reported = "-" if c["reported_percent"] is None else f"{c['reported_percent']:.2f}%"
         flag = "  <- differs" if c["clip"] in discrepancies else ""
         lines.append("{clip:<4}  {matches}/{total:<5}  {accuracy_percent:6.2f}%   ".format(**c) + reported + flag)
-    lines.append("average {average_percent:.2f}% (reported {reported_average_percent:.2f}%)".format(**report))
+    average = report["reported_average_percent"]
+    average = "-" if average is None else f"{average:.2f}%"
+    lines.append(f"average {report['average_percent']:.2f}% (reported {average})")
     if discrepancies:
         lines.append(
             "computed accuracies do not match the originally reported figures "

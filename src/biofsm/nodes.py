@@ -113,8 +113,8 @@ def run_benchtop(
     for 0 s and the loop catches up. A tick with nothing received is ABSENT,
     so silence counts in ticks of wall time. Stops after `max_ticks`, when
     `should_stop` (called just before each tick's poll) turns true, or on
-    Ctrl-C at any point of a tick. Every tick appends its `SimStep.line()`,
-    the simulator's trace line, to the log and to the steps returned.
+    Ctrl-C at any point of a tick. Each tick's shared step (8 B) is returned,
+    and its `SimStep.line(tick)` logged: the log is `serialize_trace(steps)`.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
@@ -125,15 +125,15 @@ def run_benchtop(
     with _open_log(log_path) as log_file:
         log.info("benchtop listening on %s:%d", receiver.config.host, receiver.port)
         try:
-            for step in iter_steps(_received(receiver, tick_ms, max_ticks, should_stop), brownout_ticks):
+            for k, step in enumerate(iter_steps(_received(receiver, tick_ms, max_ticks, should_stop), brownout_ticks)):
                 # Appended first: Ctrl-C during the write is raised as the write
                 # returns, so `steps` and the log still hold the same ticks.
                 steps.append(step)
                 if log_file is not None:
-                    log_file.write(step.line())
+                    log_file.write(step.line(k))
                 log.info(
                     "tick %d: input %s -> %s color=%s tone=%s",
-                    step.tick,
+                    k,
                     step.input.value,
                     step.state.value,
                     step.command.color,

@@ -2,14 +2,15 @@
 
 The simulator drives the benchtop machine with a scripted symbol per tick on
 a purely virtual clock: tick indices are the only notion of time, so runs
-are reproducible byte for byte. `iter_steps` is also the live benchtop's
-tick loop, which `nodes.replay_script` drives with a script over UDP.
+are reproducible byte for byte. A step's tick is its position in the run, so
+each of the 25 (input, state) steps is built once and shared. `iter_steps` is
+also the benchtop's live tick loop, driven over UDP by `nodes.replay_script`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -57,32 +58,29 @@ def load_script(path: str | Path) -> list[InputSymbol]:
         raise ScriptError(f"{path}: {exc}") from None
 
 
-# A trace line after its tick number depends only on (input, state), so each
-# of the 25 tails is rendered once, here.
-_TAILS = {
-    (symbol, state): json.dumps(
-        {"input": symbol.value, "state": state.value, "color": list(command.color), "tone": command.tone.value}
-    )[1:] + "\n"
-    for state, command in ACTUATION.items()
-    for symbol in InputSymbol
-}
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SimStep:
-    """One simulated tick: the input consumed and the resulting state."""
+    """A tick's input and resulting state, shared by every such tick (`_STEPS`)."""
 
-    tick: int
     input: InputSymbol
     state: BenchState
+    tail: str = field(repr=False, compare=False)  # the trace line after its tick number
 
     @property
     def command(self) -> ActuationCommand:
         return ACTUATION[self.state]
 
-    def line(self) -> str:
-        """This step's trace line: one JSON object, stable key order, LF ending."""
-        return f'{{"tick": {self.tick}, {_TAILS[self.input, self.state]}'
+    def line(self, tick: int) -> str:
+        """This step's trace line at `tick`: one JSON object, stable key order, LF ending."""
+        return f'{{"tick": {tick}, {self.tail}'
+
+
+_STEPS = {
+    (symbol, state): SimStep(symbol, state, json.dumps(
+        {"input": symbol.value, "state": state.value, "color": list(command.color), "tone": command.tone.value}
+    )[1:] + "\n")
+    for state, command in ACTUATION.items() for symbol in InputSymbol
+}
 
 
 def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[SimStep]:
@@ -90,26 +88,26 @@ def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[
 
     Symbols are pulled one per step, so `symbols` may poll a socket. `tick`
     runs once per (configuration, input) pair the run reaches; a memo local
-    to this call, never over 25·(brownout_ticks+1) entries, answers repeats.
+    to this call, never over 25·(brownout_ticks+1) entries, answers repeats
+    with the successor and its shared step: a repeat allocates no step.
     """
     runtime = FsmRuntime(brownout_ticks=brownout_ticks)
-    successors: dict[tuple[FsmRuntime, InputSymbol], FsmRuntime] = {}
-    for index, symbol in enumerate(symbols):
+    successors: dict[tuple[FsmRuntime, InputSymbol], tuple[FsmRuntime, SimStep]] = {}
+    for symbol in symbols:
         key = runtime, symbol
-        runtime = successors.get(key)
-        if runtime is None:
-            runtime = successors[key] = tick(*key)[0]
-        yield SimStep(index, symbol, runtime.state)
+        hit = successors.get(key)
+        if hit is None:
+            runtime = tick(*key)[0]
+            hit = successors[key] = runtime, _STEPS[symbol, runtime.state]
+        runtime, step = hit
+        yield step
 
 
-def run_simulation(
-    script: Sequence[InputSymbol],
-    brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
-) -> list[SimStep]:
+def run_simulation(script: Sequence[InputSymbol], brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> list[SimStep]:
     """Run the machine over a script on the virtual clock."""
     return list(iter_steps(script, brownout_ticks))
 
 
 def serialize_trace(steps: Iterable[SimStep]) -> str:
-    """Render steps as JSON lines. Stable key order, LF endings."""
-    return "".join(step.line() for step in steps)
+    """Render steps as JSON lines, each tick its position. Stable key order, LF endings."""
+    return "".join([step.line(tick) for tick, step in enumerate(steps)])

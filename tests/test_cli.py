@@ -331,11 +331,12 @@ def test_evaluate_flags_a_row_exactly_when_its_clip_is_a_discrepancy(tmp_path, c
     assert main(["evaluate", "--fixture", str(fixture)]) == 0
     table = capsys.readouterr().out
     assert main(["evaluate", "--fixture", str(fixture), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["discrepancy_clips"] == []
+    document = json.loads(capsys.readouterr().out)
+    assert (document["discrepancy_clips"], document["reported_average_percent"]) == ([], None)
     assert table == (
         "clip  matches  accuracy   reported\n"
         "7     16/16     100.00%   -\n"
-        "average 100.00% (reported 41.00%)\n"
+        "average 100.00% (reported -)\n"
     )
 
 

@@ -246,12 +246,12 @@ def test_copied_and_unpickled_members_are_the_member_itself(member):
         if isinstance(member, BenchState):
             assert ACTUATION[clone] is ACTUATION[member]
             for symbol in InputSymbol:
-                assert sim._TAILS[symbol, clone] is sim._TAILS[symbol, member]
+                assert sim._STEPS[symbol, clone] is sim._STEPS[symbol, member]
         else:
             assert fsm._TARGETS.get(clone) is fsm._TARGETS.get(member)
             assert PAYLOADS.get(clone) is PAYLOADS.get(member)
             for state in BenchState:
-                assert sim._TAILS[clone, state] is sim._TAILS[member, state]
+                assert sim._STEPS[clone, state] is sim._STEPS[member, state]
 
 
 @pytest.mark.parametrize(

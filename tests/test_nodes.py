@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import math
@@ -11,6 +12,7 @@ from biofsm.fsm import DEFAULT_BROWNOUT_TICKS, BenchState
 from biofsm.nodes import run_benchtop, run_wearable
 from biofsm.protocol import EndpointConfig, InputSymbol, UdpReceiver
 from biofsm.signals import Channel, SignalProfile, synth_physio
+from biofsm.sim import serialize_trace
 
 
 def test_failed_sends_are_recorded_as_not_sent(caplog):
@@ -63,6 +65,21 @@ def test_node_logs_are_line_buffered(tmp_path):
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         run_benchtop(receiver, tick_ms=1.0, log_path=benchtop_log, should_stop=should_stop)
     assert ticks_logged == [0, 1, 2, 3]
+
+
+def test_the_benchtop_log_is_the_trace_of_the_steps_it_returns(tmp_path, monkeypatch, caplog):
+    # Garbage, a dropped tick, and silence that browns out and then hears
+    # garbage: the log and the `tick %d` messages both number ticks by position.
+    A, X, ABSENT = InputSymbol.VALID_A, InputSymbol.UNRECOGNIZED, InputSymbol.ABSENT
+    script = [A, X, InputSymbol.VALID_B, A, InputSymbol.VALID_C] + [ABSENT] * 11 + [X, ABSENT, A]
+    log = tmp_path / "benchtop.jsonl"
+    monkeypatch.setattr(nodes, "run_benchtop", functools.partial(run_benchtop, log_path=log))
+    caplog.set_level(logging.INFO, logger="biofsm")
+    steps = nodes.replay_script(script, tick_ms=5.0, drop_ticks={3})
+    assert len(steps) == len(script)
+    assert {BenchState.INVALID, BenchState.BROWNOUT} <= {step.state for step in steps}
+    assert log.read_text() == serialize_trace(steps)
+    assert [r.args[0] for r in caplog.records if r.msg.startswith("tick ")] == list(range(len(script)))
 
 
 def session(channel=None, field="value", bad=None):

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biofsm import sim
 from biofsm.classifier import ArousalClass
 from biofsm.evaluate import TraceRecord, evaluate_table3, load_table3, render_report
 from biofsm.fsm import ACTUATION, DEFAULT_BROWNOUT_TICKS, BenchState, FsmRuntime, tick, verify_determinism
@@ -11,7 +14,6 @@ from biofsm.nodes import replay_script
 from biofsm.protocol import CLASS_SYMBOLS, InputSymbol
 from biofsm.sim import (
     ScriptError,
-    SimStep,
     iter_steps,
     load_script,
     parse_script,
@@ -96,7 +98,7 @@ def test_parse_script_agrees_with_its_reference(text):
 def test_simulation_tracks_valid_inputs():
     steps = run_simulation([A, B, C])
     assert [s.state for s in steps] == [BenchState.NORMAL, BenchState.MILD, BenchState.HIGH]
-    assert [s.tick for s in steps] == [0, 1, 2]
+    assert [json.loads(line)["tick"] for line in serialize_trace(steps).splitlines()] == [0, 1, 2]
 
 
 def test_simulation_outage_and_recovery():
@@ -132,11 +134,11 @@ def test_trace_serialization_is_stable_and_exact():
     assert serialize_trace(run_simulation([A, X])) == expected
 
 
-def reference_line(step):
-    """The reference trace line: `json.dumps` of the step's full record."""
+def reference_line(step, tick):
+    """The reference trace line: `json.dumps` of the step's full record at `tick`."""
     command = ACTUATION[step.state]
     record = {
-        "tick": step.tick,
+        "tick": tick,
         "input": step.input.value,
         "state": step.state.value,
         "color": list(command.color),
@@ -147,10 +149,29 @@ def reference_line(step):
 
 @pytest.mark.parametrize("tick_index", [0, 9, 10, 123456])
 def test_every_trace_line_equals_its_reference(tick_index):
-    for symbol, state in itertools.product(InputSymbol, BenchState):
-        step = SimStep(tick_index, symbol, state)
-        assert step.line() == reference_line(step)
+    assert set(sim._STEPS) == set(itertools.product(InputSymbol, BenchState))
+    for (symbol, state), step in sim._STEPS.items():
+        assert (step.input, step.state) == (symbol, state)
+        assert step.line(tick_index) == reference_line(step, tick_index)
         assert step.command is ACTUATION[step.state]
+
+
+def test_a_long_run_holds_one_shared_step_per_tick():
+    script = ([A, B, X, C] + [ABSENT] * 11 + [X]) * 6250  # 100,000 ticks through all five states
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        steps = run_simulation(script)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 100_000
+    assert {step.state for step in steps} == set(BenchState)
+    assert len({id(step) for step in steps}) <= 25
+    assert all(step is sim._STEPS[step.input, step.state] for step in steps)
+    assert held / len(steps) < 16  # the list's pointer, and no step of its own
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        steps[0].state = BenchState.HIGH
 
 
 def model_successor(state, silence, symbol, brownout_ticks):
@@ -174,7 +195,7 @@ scripts = st.lists(st.tuples(st.sampled_from(list(InputSymbol)), st.integers(1, 
 @given(scripts, st.integers(1, 12))
 def test_any_script_traces_like_the_reference(script, brownout_ticks):
     steps = run_simulation(script, brownout_ticks)
-    assert serialize_trace(steps) == "".join(reference_line(step) for step in steps)
+    assert serialize_trace(steps) == "".join(reference_line(step, k) for k, step in enumerate(steps))
     state, silence, states = BenchState.NORMAL, 0, []
     for symbol in script:
         state, silence = model_successor(state, silence, symbol, brownout_ticks)
@@ -223,9 +244,9 @@ def test_trace_lines_parse_back_as_json():
     steps = run_simulation([A, B, C, X] + [ABSENT] * 10)
     lines = serialize_trace(steps).splitlines()
     assert len(lines) == len(steps)
-    for line, step in zip(lines, steps):
+    for k, (line, step) in enumerate(zip(lines, steps)):
         record = json.loads(line)
-        assert record["tick"] == step.tick
+        assert record["tick"] == k
         assert record["state"] == step.state.value
         assert tuple(record["color"]) == step.command.color
 
