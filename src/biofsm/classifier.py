@@ -3,9 +3,8 @@
 Each beat yields a feature frame (heart rate, smoothed skin conductance).
 Frames accumulate into fixed back-to-back windows; at each window boundary
 the frames vote through a two-band threshold ladder and the class with the
-highest weighted score wins. Skin conductance carries more weight than heart
-rate. Frames outside the supported physiological range are dropped rather
-than clamped.
+most votes wins. Skin conductance casts more votes than heart rate. Frames
+outside the supported physiological range are dropped rather than clamped.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ class ArousalClass(str, Enum):
     HIGH = "HIGH"
 
 
-_CLASSES = tuple(ArousalClass)  # score-vector order: position k scores _CLASSES[k]
+_CLASSES = tuple(ArousalClass)  # band order: band k votes for _CLASSES[k]
 
 
 @dataclass
@@ -43,18 +42,20 @@ class FeatureFrame:
 
 # The threshold ladder. Bands are half-open on the right below the top edge;
 # the top edge itself is included so that a reading exactly at the supported
-# maximum still lands in the HIGH band. The two weights total 1.
+# maximum still lands in the HIGH band. A frame casts HR_VOTES for its heart-rate
+# band and GSR_VOTES for its conductance band, weights 0.4 : 0.6 as whole
+# numbers, so that equal tallies tie exactly.
 HR_RANGE = (60.0, 120.0)
 HR_SPLITS = (85.0, 105.0)
-HR_WEIGHT = 0.4
+HR_VOTES = 2
 GSR_RANGE = (0.0, 25.0)
 GSR_SPLITS = (15.0, 20.0)
-GSR_WEIGHT = 0.6
+GSR_VOTES = 3
 
 
 @dataclass
 class LadderConfig:
-    """The window length frames vote in; band edges and weights are the constants above."""
+    """The window length frames vote in; band edges and votes are the constants above."""
 
     window_ms: float = DEFAULT_WINDOW_MS
 
@@ -63,27 +64,15 @@ class LadderConfig:
             raise ValueError(f"window_ms must be finite and positive, got {self.window_ms!r}")
 
 
-def frame_in_range(frame: FeatureFrame) -> bool:
-    return HR_RANGE[0] <= frame.bpm <= HR_RANGE[1] and GSR_RANGE[0] <= frame.gsr_us <= GSR_RANGE[1]
-
-
-def _band(value: float, value_range: tuple[float, float], splits: tuple[float, float], name: str) -> int:
-    lo, hi = value_range
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} {value} outside supported range [{lo}, {hi}]")
+def _band(value: float, value_range: tuple[float, float], splits: tuple[float, float]) -> int | None:
+    """The band 0/1/2 (NORMAL/MILD/HIGH) of `value`, or None outside `value_range` (NaN included)."""
+    if not (value_range[0] <= value <= value_range[1]):
+        return None
     if value < splits[0]:
         return 0
     if value < splits[1]:
         return 1
     return 2
-
-
-def score_frame(frame: FeatureFrame) -> list[float]:
-    """Weighted one-hot scores [normal, mild, high] for a single frame."""
-    scores = [0.0, 0.0, 0.0]
-    scores[_band(frame.bpm, HR_RANGE, HR_SPLITS, "heart rate")] += HR_WEIGHT
-    scores[_band(frame.gsr_us, GSR_RANGE, GSR_SPLITS, "skin conductance")] += GSR_WEIGHT
-    return scores
 
 
 @dataclass
@@ -98,7 +87,6 @@ class WindowDecision:
     bpm_mean: float | None = None
     gsr_mean: float | None = None
     arousal: ArousalClass | None = None
-    score_vector: list[float] | None = None
     byte_sent: str | None = None
 
     def record(self) -> dict:
@@ -126,18 +114,20 @@ def classify_window(
     None. `config` is unread, as the ladder is fixed; it stays because
     bench/replay.py passes a LadderConfig there.
     """
-    used = [frame for frame in frames if frame_in_range(frame)]
+    votes = [0, 0, 0]
+    used = []
+    for frame in frames:
+        hr = _band(frame.bpm, HR_RANGE, HR_SPLITS)
+        gsr = _band(frame.gsr_us, GSR_RANGE, GSR_SPLITS)
+        if hr is not None and gsr is not None:
+            votes[hr] += HR_VOTES
+            votes[gsr] += GSR_VOTES
+            used.append(frame)
     if not used:
         return None
-    totals = [0.0, 0.0, 0.0]
-    for frame in used:
-        for k, s in enumerate(score_frame(frame)):
-            totals[k] += s
-    best = _CLASSES[max(range(3), key=totals.__getitem__)]  # max keeps the first of tied scores
+    best = _CLASSES[max(range(3), key=votes.__getitem__)]  # max keeps the first, calmer, of tied classes
     n = len(used)
-    return WindowDecision(
-        window_index, n, sum(f.bpm for f in used) / n, sum(f.gsr_us for f in used) / n, best, totals
-    )
+    return WindowDecision(window_index, n, sum(f.bpm for f in used) / n, sum(f.gsr_us for f in used) / n, best)
 
 
 @dataclass

@@ -1,4 +1,7 @@
+import bisect
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 from biofsm.classifier import (
     GSR_RANGE,
     GSR_SPLITS,
-    GSR_WEIGHT,
+    GSR_VOTES,
     HR_RANGE,
     HR_SPLITS,
-    HR_WEIGHT,
+    HR_VOTES,
     ArousalClass,
     FeatureExtractor,
     FeatureFrame,
     LadderConfig,
     WindowAccumulator,
+    WindowDecision,
     classify_window,
-    score_frame,
 )
 from biofsm.signals import MIN_THRESHOLD, Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
 
@@ -25,20 +28,60 @@ def frame(bpm, gsr, index=0, ts=0.0):
     return FeatureFrame(index, ts, bpm, gsr)
 
 
-def split(hr_band, gsr_band):
-    """A frame's scores on the fixed ladder: 0.4 on its heart-rate band, 0.6 on its conductance band."""
-    return [0.4 * (k == hr_band) + 0.6 * (k == gsr_band) for k in ArousalClass]
+SEVERITY = list(ArousalClass).index  # 0 NORMAL, 1 MILD, 2 HIGH: the band a vote goes to
+# One value inside each band of each ladder, so band pair (h, g) is the frame (HR_POINTS[h], GSR_POINTS[g]).
+HR_POINTS = (70.0, 90.0, 110.0)
+GSR_POINTS = (10.0, 17.5, 22.0)
+
+
+def reference_class(pairs, weights=(Fraction(2, 5), Fraction(3, 5))):
+    """The class of an exact tally of (heart-rate band, conductance band) pairs, ties to the calmer class."""
+    totals = [Fraction(0)] * 3
+    for hr_band, gsr_band in pairs:
+        totals[hr_band] += weights[0]
+        totals[gsr_band] += weights[1]
+    return list(ArousalClass)[totals.index(max(totals))]
 
 
 def test_mild_hr_with_mild_gsr_outweighs_normal():
-    # HR in the calm band but conductance elevated: the heavier GSR weight
+    # HR in the calm band but conductance elevated: the heavier GSR vote
     # must tip the decision to MILD.
-    scores = score_frame(frame(70.0, 17.5))
-    assert scores == [0.4, 0.6, 0.0]
     decision = classify_window([frame(70.0, 17.5)])
     assert decision is not None
     assert decision.arousal is ArousalClass.MILD
-    assert scores[1] > scores[0]  # MILD over NORMAL
+    assert GSR_VOTES > HR_VOTES  # MILD's 3 over NORMAL's 2
+
+
+def test_every_small_window_votes_as_an_exact_tally():
+    pairs = list(itertools.product(range(3), repeat=2))
+    windows = [w for size in range(1, 7) for w in itertools.combinations_with_replacement(pairs, size)]
+    wrong = [
+        w
+        for w in windows
+        if classify_window([frame(HR_POINTS[h], GSR_POINTS[g]) for h, g in w]).arousal is not reference_class(w)
+    ]
+    assert len(windows) == 5004
+    assert not wrong, f"{len(wrong)} of {len(windows)} windows, first {wrong[0]}"
+
+
+GSR_BAND_VALUES = (
+    st.floats(0.0, 15.0, exclude_max=True),
+    st.floats(15.0, 20.0, exclude_max=True),
+    st.floats(20.0, 25.0),
+)
+OUT_OF_RANGE = st.tuples(st.floats(), st.floats()).filter(lambda f: not (60.0 <= f[0] <= 120.0 and 0.0 <= f[1] <= 25.0))
+
+
+@given(st.data())
+def test_a_window_whose_frames_share_a_gsr_band_takes_its_class(data):
+    # n in-range frames give their conductance band 3n votes; heart rate has only 2n to spread.
+    band = data.draw(st.integers(0, 2))
+    kept = data.draw(st.lists(st.tuples(st.floats(60.0, 120.0), GSR_BAND_VALUES[band]), min_size=1, max_size=30))
+    dropped = data.draw(st.lists(OUT_OF_RANGE, max_size=5))
+    window = data.draw(st.permutations(kept + dropped))
+    decision = classify_window([frame(bpm, gsr) for bpm, gsr in window])
+    assert decision.arousal is list(ArousalClass)[band]
+    assert decision.frames_used == len(kept)
 
 
 def test_arousal_class_is_its_name_in_score_order():
@@ -46,7 +89,7 @@ def test_arousal_class_is_its_name_in_score_order():
     assert list(ArousalClass) == [ArousalClass.NORMAL, ArousalClass.MILD, ArousalClass.HIGH]
     assert [cls == cls.name for cls in ArousalClass] == [True, True, True]
     assert "NORMAL" in {ArousalClass.NORMAL}  # hashes as its name, so a set of decisions finds logged names
-    assert score_frame(frame(110.0, 24.0)).index(1.0) == list(ArousalClass).index(ArousalClass.HIGH)
+    assert SEVERITY(classify_window([frame(110.0, 24.0)]).arousal) == 2  # both top bands vote for HIGH
 
 
 def test_arousal_class_prints_as_its_name():
@@ -63,8 +106,7 @@ def test_mild_band_grid(bpm, gsr):
 
 def test_calm_frame_is_normal():
     decision = classify_window([frame(62.0, 1.0)])
-    assert decision.arousal is ArousalClass.NORMAL
-    assert decision.score_vector == [1.0, 0.0, 0.0]
+    assert decision == WindowDecision(0, 1, 62.0, 1.0, ArousalClass.NORMAL)
 
 
 def test_elevated_frame_is_high():
@@ -73,34 +115,33 @@ def test_elevated_frame_is_high():
 
 @pytest.mark.parametrize(
     "bpm,band",
-    # band is the score-vector position: 0 NORMAL, 1 MILD, 2 HIGH
+    # band is the class's severity: 0 NORMAL, 1 MILD, 2 HIGH
     [(60.0, 0), (84.999, 0), (85.0, 1), (104.999, 1), (105.0, 2), (120.0, 2)],
 )
 def test_heart_rate_band_edges(bpm, band):
-    assert score_frame(frame(bpm, 10.0)) == split(list(ArousalClass)[band], ArousalClass.NORMAL)
+    # The two frames' conductance votes split between NORMAL and HIGH, so the 2 + 2 heart-rate votes decide.
+    assert SEVERITY(classify_window([frame(bpm, 10.0), frame(bpm, 22.0)]).arousal) == band
 
 
 @pytest.mark.parametrize(
     "gsr,band",
-    # band is the score-vector position: 0 NORMAL, 1 MILD, 2 HIGH
+    # band is the class's severity: 0 NORMAL, 1 MILD, 2 HIGH
     [(0.0, 0), (14.999, 0), (15.0, 1), (19.999, 1), (20.0, 2), (25.0, 2)],
 )
 def test_gsr_band_edges(gsr, band):
-    assert score_frame(frame(70.0, gsr)) == split(ArousalClass.NORMAL, list(ArousalClass)[band])
+    assert SEVERITY(classify_window([frame(70.0, gsr)]).arousal) == band
 
 
 @pytest.mark.parametrize("bpm", [59.9, 120.1])
-def test_heart_rate_outside_range_raises(bpm):
-    with pytest.raises(ValueError) as excinfo:
-        score_frame(frame(bpm, 10.0))
-    assert str(excinfo.value) == f"heart rate {bpm} outside supported range [60.0, 120.0]"
+def test_heart_rate_outside_range_is_dropped(bpm):
+    assert classify_window([frame(bpm, 10.0)]) is None
+    assert classify_window([frame(bpm, 10.0), frame(70.0, 22.0)]).frames_used == 1
 
 
 @pytest.mark.parametrize("gsr", [-0.1, 25.1])
-def test_gsr_outside_range_raises(gsr):
-    with pytest.raises(ValueError) as excinfo:
-        score_frame(frame(70.0, gsr))
-    assert str(excinfo.value) == f"skin conductance {gsr} outside supported range [0.0, 25.0]"
+def test_gsr_outside_range_is_dropped(gsr):
+    assert classify_window([frame(70.0, gsr)]) is None
+    assert classify_window([frame(70.0, gsr), frame(110.0, 10.0)]).frames_used == 1
 
 
 def test_window_vote_matches_manual_summation():
@@ -109,15 +150,11 @@ def test_window_vote_matches_manual_summation():
     high_frames = [frame(118.0, 24.0, 10 + i) for i in range(5)]
     decision = classify_window(mild_frames + high_frames, config)
 
-    # By hand: a (70, 17.5) frame splits 0.4 to NORMAL and 0.6 to MILD; a
-    # (118, 24) frame puts the full 1.0 on HIGH. Totals: [4.0, 6.0, 5.0].
-    expected = [0.0, 0.0, 0.0]
-    for f in mild_frames + high_frames:
-        for k, score in enumerate(score_frame(f)):
-            expected[k] += score
-    assert decision.score_vector == pytest.approx(expected)
-    assert expected == pytest.approx([4.0, 6.0, 5.0])
-    assert decision.arousal is ArousalClass.MILD
+    # By hand: a (70, 17.5) frame votes 2 for NORMAL and 3 for MILD; a
+    # (118, 24) frame votes 2 + 3 for HIGH. Totals: [20, 30, 25].
+    votes = [10 * HR_VOTES, 10 * GSR_VOTES, 5 * (HR_VOTES + GSR_VOTES)]
+    assert votes == [20, 30, 25]
+    assert decision.arousal is ArousalClass.MILD is reference_class([(0, 1)] * 10 + [(2, 2)] * 5)
     assert decision.frames_used == 15
 
 
@@ -144,13 +181,13 @@ def test_window_with_nothing_usable_is_undecidable():
 
 
 def test_ties_resolve_to_the_lower_class():
-    # Each pair puts 0.4 + 0.6 on both classes it names.
+    # Each pair puts 2 + 3 votes on both classes it names: [5, 0, 5] and [0, 5, 5].
     low_vs_high = classify_window([frame(70.0, 24.0), frame(110.0, 10.0)])
-    assert low_vs_high.score_vector == [1.0, 0.0, 1.0]
     assert low_vs_high.arousal is ArousalClass.NORMAL
     mild_vs_high = classify_window([frame(90.0, 24.0), frame(110.0, 17.5)])
-    assert mild_vs_high.score_vector == [0.0, 1.0, 1.0]
     assert mild_vs_high.arousal is ArousalClass.MILD
+    # [6, 6, 3]: summed as floats 0.4 and 0.6, NORMAL's 1.2 fell below MILD's 1.2000000000000002.
+    assert classify_window([frame(90.0, 10.0), frame(90.0, 10.0), frame(90.0, 22.0)]).arousal is ArousalClass.NORMAL
 
 
 def test_classification_is_deterministic():
@@ -162,9 +199,10 @@ def test_classification_is_deterministic():
 
 def test_argmax_is_scale_invariant():
     frames = [frame(70.0, 17.5, i) for i in range(7)] + [frame(118.0, 24.0, 9)]
+    pairs = [(0, 1)] * 7 + [(2, 2)]
     decision = classify_window(frames)
-    scaled = [3.7 * s for s in decision.score_vector]
-    assert scaled.index(max(scaled)) == decision.score_vector.index(max(decision.score_vector))
+    for scale in (Fraction(1), Fraction(1, 5), Fraction(37, 10)):
+        assert decision.arousal is reference_class(pairs, (HR_VOTES * scale, GSR_VOTES * scale))
 
 
 @given(
@@ -174,11 +212,20 @@ def test_argmax_is_scale_invariant():
     ),
     gsr=st.floats(min_value=0.0, max_value=25.0),
 )
-def test_raising_heart_rate_never_lowers_the_class(bpms, gsr):
+def test_a_one_frame_window_takes_its_gsr_band_whatever_its_heart_rate(bpms, gsr):
     low, high = sorted(bpms)
     a = classify_window([frame(low, gsr)]).arousal
     b = classify_window([frame(high, gsr)]).arousal
-    assert b >= a
+    assert SEVERITY(a) == SEVERITY(b) == bisect.bisect_right(GSR_SPLITS, gsr)
+
+
+def test_raising_one_heart_rate_can_lower_a_windows_class():
+    # Votes [7, 8, 0] with the third frame at 90 bpm; at 110 bpm it moves its 2 from MILD to HIGH: [7, 6, 2].
+    before, after = (
+        classify_window([frame(70.0, 10.0), frame(70.0, 17.5), frame(bpm, 17.5)]).arousal for bpm in (90.0, 110.0)
+    )
+    assert (before, after) == (ArousalClass.MILD, ArousalClass.NORMAL)
+    assert SEVERITY(after) < SEVERITY(before)
 
 
 def test_config_validation():
@@ -189,8 +236,8 @@ def test_config_validation():
 def test_fixed_tuning_keeps_its_invariants():
     for (lo, hi), (s0, s1) in ((HR_RANGE, HR_SPLITS), (GSR_RANGE, GSR_SPLITS)):
         assert lo < s0 < s1 < hi
-    assert HR_WEIGHT >= 0 and GSR_WEIGHT >= 0
-    assert abs(HR_WEIGHT + GSR_WEIGHT - 1.0) <= 1e-9
+    assert 0 < HR_VOTES < GSR_VOTES
+    assert HR_VOTES / (HR_VOTES + GSR_VOTES) == 0.4
     assert MIN_THRESHOLD > 0
 
 

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+from biofsm import classifier, signals
 from biofsm.cli import main
 from biofsm.protocol import InputSymbol
 from biofsm.sim import run_simulation, serialize_trace
@@ -31,3 +32,10 @@ def test_readme_duplex_quick_start_runs(tmp_path, monkeypatch, capsys):
     records = [json.loads(line) for line in trace.splitlines()]
     assert "MILD" in {r["state"] for r in records}
     assert trace == serialize_trace(run_simulation([InputSymbol(r["input"]) for r in records]))
+
+
+def test_every_tuning_constant_the_readme_names_exists():
+    section = README.read_text(encoding="utf-8").split("## How the wearable decides", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", section))
+    assert len(names) >= 14
+    assert [n for n in sorted(names) if not (hasattr(classifier, n) or hasattr(signals, n))] == []
