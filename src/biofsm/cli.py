@@ -21,14 +21,14 @@ import os
 import signal
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import DEFAULT_WINDOW_MS, LadderConfig
 from .evaluate import evaluate_table3, load_table3, render_report
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
-from .nodes import DEFAULT_TICK_MS, run_benchtop, run_wearable
+from .nodes import DEFAULT_TICK_MS, iter_wearable, run_benchtop, run_wearable
 from .protocol import DEFAULT_HOST, DEFAULT_PORT, EndpointConfig, UdpReceiver
 from .signals import SignalProfile, load_trace, synth_physio
 from .sim import load_script, run_simulation, serialize_trace
@@ -184,14 +184,6 @@ def _wearable_samples(config: NodeConfig):
     return synth_physio(profile, config.duration_s * 1000.0, config.seed)
 
 
-def _until_set(event: threading.Event, samples):
-    """Yield from `samples` until `event` is set; a plain flag read per sample, no lock."""
-    for sample in samples:
-        if event.is_set():
-            return
-        yield sample
-
-
 def _cmd_wearable(args: argparse.Namespace) -> int:
     config = _load_or_default(args, "wearable")
     ladder = LadderConfig(window_ms=config.window_ms)
@@ -201,34 +193,26 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
     if not args.duplex:
         emissions = run_wearable(samples, ladder, endpoint, log_path)
     else:
-        stop = threading.Event()
-        wearable = None
-        drain = 3  # benchtop ticks after the wearable returns, for its last datagrams
-        with UdpReceiver(endpoint) as receiver, ThreadPoolExecutor(max_workers=1) as pool:
-            # Port 0 binds an ephemeral port, so send to the one actually bound.
-            endpoint = EndpointConfig(config.host, receiver.port)
+        emissions = []
+        # Port 0 binds an ephemeral port, so the wearable sends to the one actually bound.
+        with UdpReceiver(endpoint) as receiver, closing(
+            iter_wearable(samples, ladder, EndpointConfig(config.host, receiver.port), log_path)
+        ) as windows:
 
-            def next_tick() -> bool:
-                # First called at tick 0, once the benchtop's settings and log are checked.
-                nonlocal wearable, drain
-                if wearable is None:
-                    wearable = pool.submit(run_wearable, _until_set(stop, samples), ladder, endpoint, log_path)
-                elif wearable.done():
-                    drain -= 1
-                return drain < 0
+            def next_window() -> bool:
+                # Tick k sends window k's byte just before its poll; the tick after the last window stops.
+                decision = next(windows, None)
+                if decision is not None:
+                    emissions.append(decision)
+                return decision is None
 
-            try:
-                run_benchtop(
-                    receiver=receiver,
-                    tick_ms=config.tick_ms,
-                    brownout_ticks=config.brownout_ticks,
-                    log_path=resolve_log_path(None, "benchtop"),
-                    should_stop=next_tick,
-                )
-            finally:
-                stop.set()  # a benchtop that ends first stops the wearable
-            # Re-raises the wearable's own failure; a benchtop that stopped before tick 0 never started it.
-            emissions = [] if wearable is None else wearable.result()
+            run_benchtop(
+                receiver=receiver,
+                tick_ms=config.tick_ms,
+                brownout_ticks=config.brownout_ticks,
+                log_path=resolve_log_path(None, "benchtop"),
+                should_stop=next_window,
+            )
     sent = sum(1 for e in emissions if e.byte_sent is not None)
     print(f"wearable: {len(emissions)} windows closed, {sent} bytes sent")
     return 0

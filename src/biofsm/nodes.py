@@ -3,7 +3,8 @@
 Both nodes append one JSON line per unit of work to a session log when a log
 path is given: the wearable per closed window, the benchtop per tick, so a
 run can be audited or diffed after the fact. `replay_script` sends a tick
-script over loopback UDP to the benchtop's own loop, one datagram per tick.
+script over loopback UDP to the benchtop's own loop, one datagram per tick;
+`wearable --duplex` sends one `iter_wearable` window per tick the same way.
 """
 
 from __future__ import annotations
@@ -36,46 +37,60 @@ def _open_log(path: str | Path | None) -> AbstractContextManager[IO[str] | None]
     return open(p, "w", buffering=1, encoding="utf-8")
 
 
+def iter_wearable(
+    samples: Iterable[PhysioSample],
+    ladder: LadderConfig | None = None,
+    endpoint: EndpointConfig | None = None,
+    log_path: str | Path | None = None,
+) -> Iterator[WindowDecision]:
+    """Consume a sample stream, sending one classification byte per decided window.
+
+    Yields each closed window's `WindowDecision` once its byte is sent and its
+    `record()` logged, reading samples only up to the frame that closes it.
+    An undecided window is logged and sends nothing; a failed send is logged
+    and recorded with no byte sent. Samples with a non-finite value or
+    timestamp are skipped and counted in one log line at the end, also when
+    the caller closes the generator early. Ctrl-C while samples are read ends
+    the stream: the partial window is flushed, classified and logged.
+    """
+    extractor = FeatureExtractor()
+    accumulator = WindowAccumulator(ladder)
+    try:
+        with _open_log(log_path) as log_file, UdpSender(endpoint) as sender:
+            def emit(closed_windows: list[ClosedWindow]) -> Iterator[WindowDecision]:
+                for closed in closed_windows:
+                    decision = _emit_window(closed, sender)
+                    # Rendered first: Ctrl-C while rendering leaves the window out of both.
+                    line = None if log_file is None else json.dumps(decision.record()) + "\n"
+                    try:
+                        if line is not None:
+                            log_file.write(line)
+                    except KeyboardInterrupt:  # raised as the write returns, so the line is logged: yield it too
+                        yield decision
+                        raise
+                    yield decision
+
+            try:
+                for sample in samples:
+                    frame = extractor.add(sample)
+                    if frame is not None:
+                        yield from emit(accumulator.add(frame))
+            except KeyboardInterrupt:
+                log.info("wearable interrupted, stopping")
+            yield from emit(accumulator.flush())
+    finally:
+        if extractor.non_finite:
+            log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
+
+
 def run_wearable(
     samples: Iterable[PhysioSample],
     ladder: LadderConfig | None = None,
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
 ) -> list[WindowDecision]:
-    """Consume a sample stream, emit one classification byte per decided window.
-
-    Returns one `WindowDecision` per closed window and logs its `record()`.
-    Windows that close without a usable decision are logged but nothing is
-    sent; the benchtop's silence handling covers that case. A send that
-    fails is logged and recorded with no byte sent. Samples with a non-finite
-    value or timestamp are skipped, and their count is logged once at the
-    end. An empty stream emits nothing and returns cleanly. Ctrl-C ends the
-    stream: the partial window is flushed, classified and logged.
-    """
-    extractor = FeatureExtractor()
-    accumulator = WindowAccumulator(ladder)
-    decisions: list[WindowDecision] = []
-    with _open_log(log_path) as log_file, UdpSender(endpoint) as sender:
-        def handle(closed_windows: list[ClosedWindow]) -> None:
-            for closed in closed_windows:
-                decision = _emit_window(closed, sender)
-                # Rendered first: Ctrl-C while rendering leaves the window out of both.
-                line = None if log_file is None else json.dumps(decision.record()) + "\n"
-                decisions.append(decision)
-                if line is not None:
-                    log_file.write(line)
-
-        try:
-            for sample in samples:
-                frame = extractor.add(sample)
-                if frame is not None:
-                    handle(accumulator.add(frame))
-        except KeyboardInterrupt:
-            log.info("wearable interrupted, stopping")
-        handle(accumulator.flush())
-    if extractor.non_finite:
-        log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
-    return decisions
+    """Run `iter_wearable` to the end of its stream; one `WindowDecision` per closed window."""
+    return list(iter_wearable(samples, ladder, endpoint, log_path))
 
 
 def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowDecision:

@@ -34,6 +34,13 @@ def assert_simulator_agrees(path, brownout_ticks=DEFAULT_BROWNOUT_TICKS):
     assert Path(path).read_text() == serialize_trace(run_simulation(inputs, brownout_ticks))
 
 
+def assert_benchtop_shows_each_window(log_dir):
+    """Duplex tick k shows window k's byte, `-` for an undecided window or a failed send."""
+    inputs = [r["input"] for r in read_jsonl(log_dir / "benchtop.jsonl")]
+    assert inputs == [w["byte_sent"] or "-" for w in read_jsonl(log_dir / "wearable.jsonl")]
+    assert_simulator_agrees(log_dir / "benchtop.jsonl")
+
+
 def test_config_roundtrip(tmp_path):
     config = NodeConfig(
         role="wearable",
@@ -562,8 +569,8 @@ def test_duplex_runs_both_nodes_in_one_process(tmp_path, monkeypatch):
     wearable_log = read_jsonl(tmp_path / "wearable.jsonl")
     benchtop_log = read_jsonl(tmp_path / "benchtop.jsonl")
     assert all(r["byte_sent"] == "B" for r in wearable_log)
-    assert any(r["input"] == "B" and r["state"] == "MILD" for r in benchtop_log)
-    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
+    assert [r["state"] for r in benchtop_log] == ["MILD"] * len(wearable_log)
+    assert_benchtop_shows_each_window(tmp_path)
 
 
 def test_duplex_on_port_0_sends_to_the_bound_port(tmp_path, monkeypatch, capsys):
@@ -574,9 +581,7 @@ def test_duplex_on_port_0_sends_to_the_bound_port(tmp_path, monkeypatch, capsys)
     assert decided > 0
     assert [r["byte_sent"] is not None for r in wearable_log] == [r["arousal"] is not None for r in wearable_log]
     assert capsys.readouterr().out == f"wearable: {len(wearable_log)} windows closed, {decided} bytes sent\n"
-    benchtop_log = read_jsonl(tmp_path / "benchtop.jsonl")
-    assert any(r["input"] in {"A", "B", "C"} for r in benchtop_log)
-    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
+    assert_benchtop_shows_each_window(tmp_path)
 
 
 def test_duplex_benchtop_failure_exits_1(tmp_path, monkeypatch, capsys):
@@ -590,22 +595,30 @@ def test_duplex_benchtop_failure_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def test_duplex_wearable_failure_exits_1(tmp_path, monkeypatch, capsys):
-    # The benchtop runs in the foreground and stops by itself three ticks after
-    # the wearable returns, here by failing to open its log.
+    # The wearable opens its log in tick 0's hook, before tick 0 is logged.
     (tmp_path / "wearable.jsonl").mkdir()
     monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
     assert main(["wearable", "--duplex", "--port", "0", "--tick-ms", "25", "--duration-s", "40"]) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{tmp_path / 'wearable.jsonl'}'\n")
-    assert 4 <= len(read_jsonl(tmp_path / "benchtop.jsonl")) < 10
-    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
+    assert (tmp_path / "benchtop.jsonl").read_text() == ""
 
 
 def test_duplex_benchtop_binds_the_host_sent_to(tmp_path, monkeypatch):
     monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
     flags = ["--seed", "5", "--duration-s", "40", "--bpm", "70", "--gsr", "17.5", "--tick-ms", "25"]
     assert main(["wearable", "--duplex", "--host", "127.0.0.2", "--port", "0", *flags]) == 0
-    assert any(r["input"] == "B" for r in read_jsonl(tmp_path / "benchtop.jsonl"))
-    assert_simulator_agrees(tmp_path / "benchtop.jsonl")
+    assert "B" in {r["input"] for r in read_jsonl(tmp_path / "benchtop.jsonl")}
+    assert_benchtop_shows_each_window(tmp_path)
+
+
+@pytest.mark.parametrize("tick_ms", ["25", "1", "0.01"])  # at 0.01 ms every poll is late
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_duplex_benchtop_shows_each_window_in_turn(seed, tick_ms, tmp_path, monkeypatch):
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    flags = ["--duration-s", "120", "--bpm", "60:118", "--gsr", "5:24", "--ppg-noise", "0.3"]
+    assert main(["wearable", "--duplex", "--port", "0", "--seed", str(seed), "--tick-ms", tick_ms, *flags]) == 0
+    assert len(read_jsonl(tmp_path / "wearable.jsonl")) == 8
+    assert_benchtop_shows_each_window(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -628,6 +641,7 @@ def test_duplex_whose_benchtop_stops_before_tick_0_closed_no_window(tmp_path, mo
     monkeypatch.setattr(cli, "run_benchtop", lambda receiver, **settings: [])
     assert main(["wearable", "--duplex", "--port", "0", "--duration-s", "20"]) == 0
     assert capsys.readouterr() == ("wearable: 0 windows closed, 0 bytes sent\n", "")
+    assert not (tmp_path / "wearable.jsonl").exists()
 
 
 @pytest.mark.slow
@@ -718,6 +732,11 @@ def test_a_signalled_node_leaves_its_trace(node, sig, tmp_path):
     if node != "wearable":
         assert_simulator_agrees(benchtop_log)
     windows = read_jsonl(wearable_log) if node != "benchtop" else []  # every line parses, after SIGKILL too
+    if node == "duplex":
+        # Tick k polls for window k's byte, so a signal during that poll leaves the last window unticked.
+        inputs = [r["input"] for r in read_jsonl(benchtop_log)]
+        assert inputs == [w["byte_sent"] or "-" for w in windows[: len(inputs)]]
+        assert len(windows) - 1 <= len(inputs)
     if sig == signal.SIGKILL:
         assert process.returncode == -signal.SIGKILL
         return
@@ -727,5 +746,3 @@ def test_a_signalled_node_leaves_its_trace(node, sig, tmp_path):
     else:
         sent = sum(1 for w in windows if w["byte_sent"] is not None)
         assert out == f"wearable: {len(windows)} windows closed, {sent} bytes sent\n"
-    if node == "duplex":
-        assert any(r["input"] in {"A", "B", "C"} for r in read_jsonl(benchtop_log))

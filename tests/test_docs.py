@@ -30,7 +30,8 @@ def test_readme_duplex_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert re.fullmatch(r"wearable: (\d+) windows closed, \1 bytes sent\n", capsys.readouterr().out)
     trace = (tmp_path / "benchtop.jsonl").read_text()
     records = [json.loads(line) for line in trace.splitlines()]
-    assert "MILD" in {r["state"] for r in records}
+    shown = re.search(r"the benchtop shows `([ABC-](?: [ABC-])*)`", section).group(1)
+    assert " ".join(r["input"] for r in records) == shown == "A A B B B"
     assert trace == serialize_trace(run_simulation([InputSymbol(r["input"]) for r in records]))
 
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import logging
 import math
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from biofsm import nodes
 from biofsm.classifier import ArousalClass, FeatureExtractor, WindowDecision
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS, BenchState
-from biofsm.nodes import run_benchtop, run_wearable
-from biofsm.protocol import EndpointConfig, InputSymbol, UdpReceiver
+from biofsm.nodes import iter_wearable, run_benchtop, run_wearable
+from biofsm.protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender
 from biofsm.signals import Channel, SignalProfile, synth_physio
 from biofsm.sim import serialize_trace
 
@@ -99,6 +100,40 @@ def test_a_non_finite_ppg_sample_does_not_end_classification(caplog):
     assert [e.record() for e in poisoned] == [e.record() for e in clean]
     warnings = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
     assert warnings == ["skipped 1 samples with a non-finite value or timestamp"]
+
+
+def test_iter_wearable_reads_samples_only_up_to_the_frame_that_closes_each_window():
+    read = []
+
+    def samples():
+        for sample in session():
+            read.append(sample.timestamp_ms)
+            yield sample
+
+    with closing(iter_wearable(samples(), endpoint=EndpointConfig(port=0))) as windows:
+        assert next(windows).window_index == 0
+        assert 15_000 <= read[-1] < 16_000  # the first beat after 15 s, at 70 BPM
+        assert next(windows).window_index == 1
+        assert 30_000 <= read[-1] < 31_000
+
+
+def test_closing_iter_wearable_early_logs_the_non_finite_count_and_closes_its_socket(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.WARNING, logger="biofsm")
+    senders = []
+
+    def sender(endpoint):
+        senders.append(UdpSender(endpoint))
+        return senders[-1]
+
+    monkeypatch.setattr(nodes, "UdpSender", sender)
+    log = tmp_path / "wearable.jsonl"
+    windows = iter_wearable(session(Channel.PPG, "value", math.nan), endpoint=EndpointConfig(port=0), log_path=log)
+    assert next(windows).window_index == 0
+    windows.close()
+    warnings = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
+    assert warnings == ["skipped 1 samples with a non-finite value or timestamp"]
+    assert [s._sock.fileno() for s in senders] == [-1]
+    assert log.read_text().count("\n") == 1
 
 
 @pytest.mark.parametrize(
