@@ -5,6 +5,7 @@ a purely virtual clock: tick indices are the only notion of time, so runs
 are reproducible byte for byte. A step's tick is its position in the run, so
 each of the 25 (input, state) steps is built once and shared. `iter_steps` is
 also the benchtop's live tick loop, driven over UDP by `nodes.replay_script`.
+It walks the graph of configurations its run has reached: one edge dict each.
 """
 
 from __future__ import annotations
@@ -86,20 +87,20 @@ _STEPS = {
 def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[SimStep]:
     """The tick loop every caller shares: one step per symbol, from NORMAL.
 
-    Symbols are pulled one per step, so `symbols` may poll a socket. `tick`
-    runs once per (configuration, input) pair the run reaches; a memo local
-    to this call, never over 25·(brownout_ticks+1) entries, answers repeats
-    with the successor and its shared step: a repeat allocates no step.
+    Symbols are pulled one per step, so `symbols` may poll a socket. A table
+    local to this call maps each configuration reached to one dict, input ->
+    (successor's dict, successor, shared step): `tick` runs once per pair the
+    run reaches, at most 25·(brownout_ticks+1) times, and a repeat is a probe.
     """
     runtime = FsmRuntime(brownout_ticks=brownout_ticks)
-    successors: dict[tuple[FsmRuntime, InputSymbol], tuple[FsmRuntime, SimStep]] = {}
+    edges_of: dict[FsmRuntime, dict[InputSymbol, tuple[dict, FsmRuntime, SimStep]]] = {}
+    edges = edges_of[runtime] = {}
     for symbol in symbols:
-        key = runtime, symbol
-        hit = successors.get(key)
+        hit = edges.get(symbol)
         if hit is None:
-            runtime = tick(*key)[0]
-            hit = successors[key] = runtime, _STEPS[symbol, runtime.state]
-        runtime, step = hit
+            nxt = tick(runtime, symbol)[0]
+            hit = edges[symbol] = edges_of.setdefault(nxt, {}), nxt, _STEPS[symbol, nxt.state]
+        edges, runtime, step = hit
         yield step
 
 

@@ -212,6 +212,53 @@ def test_any_script_traces_like_the_reference(script, brownout_ticks):
     assert verify_determinism(brownout_ticks).deterministic
 
 
+def ticks_called(script, brownout_ticks):
+    """`run_simulation`'s steps and the (configuration, input) pairs it handed `tick`, in order."""
+    calls = []
+
+    def counted(runtime, symbol):
+        calls.append((runtime, symbol))
+        return tick(runtime, symbol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "tick", counted)
+        steps = run_simulation(script, brownout_ticks)
+    return steps, calls
+
+
+def assert_tick_runs_once_per_reached_pair(script, brownout_ticks):
+    """Check the tick loop's table against a plain fold of `tick`; return the number of calls."""
+    runtime, reached = FsmRuntime(brownout_ticks=brownout_ticks), set()
+    for symbol in script:
+        reached.add((runtime, symbol))
+        runtime = tick(runtime, symbol)[0]
+    steps, calls = ticks_called(script, brownout_ticks)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == reached
+    assert len(calls) <= 25 * (brownout_ticks + 1)
+    # A second run calls `tick` all over again: nothing is cached across calls.
+    assert ticks_called(script, brownout_ticks) == (steps, calls)
+    state, silence, states = BenchState.NORMAL, 0, []
+    for symbol in script:
+        state, silence = model_successor(state, silence, symbol, brownout_ticks)
+        states.append(state)
+    assert [step.state for step in steps] == states
+    return len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scripts, st.integers(1, 12))
+def test_tick_runs_once_per_reached_pair(script, brownout_ticks):
+    assert_tick_runs_once_per_reached_pair(script, brownout_ticks)
+
+
+@pytest.mark.parametrize("brownout_ticks, calls", [(1, 8), (10, 26), (50, 105)])
+def test_long_silences_tick_once_per_reached_pair(brownout_ticks, calls):
+    # A silence past every budget tried, then one that falls short of 50.
+    script = [A] + [ABSENT] * 60 + [B] + [ABSENT] * 49 + [C, X, A]
+    assert assert_tick_runs_once_per_reached_pair(script, brownout_ticks) == calls
+
+
 def test_iter_steps_pulls_one_symbol_per_step():
     pulled = 0
 
