@@ -14,7 +14,6 @@ every configuration and checks that each successor is a valid one. Each
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -141,7 +140,8 @@ class DeterminismReport:
 def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> DeterminismReport:
     """Check every (state, silence, input) configuration's successor.
 
-    Each configuration is ticked once. Its successor must be a valid
+    Configuration-major: each (state, silence) configuration is built once
+    and ticked once with each input. Its successor must be a valid
     configuration of the same machine (construction rejects a silence
     counter outside 0..brownout_ticks) carrying its state's actuation. The
     successor table is keyed by (state, input); an ABSENT cell may legally
@@ -150,18 +150,19 @@ def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> Determin
     """
     FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
     successors: dict[tuple[BenchState, InputSymbol], set[BenchState]] = {
-        (state, symbol): set() for state, symbol in itertools.product(BenchState, InputSymbol)
+        (state, symbol): set() for state in BenchState for symbol in InputSymbol
     }
     conflicts: list[str] = []
-    checked = 0
-    for state, symbol in itertools.product(BenchState, InputSymbol):
+    for state in BenchState:
+        cells = [(symbol, successors[state, symbol]) for symbol in InputSymbol]
         for silence in range(brownout_ticks + 1):
-            nxt, command = tick(FsmRuntime(state, silence, brownout_ticks), symbol)
-            checked += 1
-            if nxt.brownout_ticks != brownout_ticks or command is not ACTUATION[nxt.state]:
-                conflicts.append(f"({state.name}, silence={silence}, {symbol.name}) gave {nxt}, {command}")
-            successors[(state, symbol)].add(nxt.state)
-        if symbol is not InputSymbol.ABSENT and len(successors[(state, symbol)]) > 1:
-            names = sorted(s.name for s in successors[(state, symbol)])
-            conflicts.append(f"({state.name}, {symbol.name}) has successors {names}")
-    return DeterminismReport(brownout_ticks, checked, successors, conflicts)
+            runtime = FsmRuntime(state, silence, brownout_ticks)
+            for symbol, cell in cells:
+                nxt, command = tick(runtime, symbol)
+                if nxt.brownout_ticks != brownout_ticks or command is not ACTUATION[nxt.state]:
+                    conflicts.append(f"({state.name}, silence={silence}, {symbol.name}) gave {nxt}, {command}")
+                cell.add(nxt.state)
+        for symbol, cell in cells:
+            if symbol is not _ABSENT and len(cell) > 1:
+                conflicts.append(f"({state.name}, {symbol.name}) has successors {sorted(s.name for s in cell)}")
+    return DeterminismReport(brownout_ticks, len(successors) * (brownout_ticks + 1), successors, conflicts)

@@ -22,7 +22,7 @@ from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccu
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
 from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import PhysioSample
-from .sim import SimStep, iter_steps
+from .sim import SimStep, iter_steps, serialize_trace
 
 log = logging.getLogger(__name__)
 DEFAULT_TICK_MS = 50.0  # one tick of wall time on the live and wire paths
@@ -129,7 +129,8 @@ def run_benchtop(
     so silence counts in ticks of wall time. Stops after `max_ticks`, when
     `should_stop` (called just before each tick's poll) turns true, or on
     Ctrl-C at any point of a tick. Each tick's shared step (8 B) is returned,
-    and its `SimStep.line(tick)` logged: the log is `serialize_trace(steps)`.
+    and logged as `serialize_trace((step,), tick)`, so the log is
+    `serialize_trace(steps)` by construction.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
@@ -145,7 +146,7 @@ def run_benchtop(
                 # returns, so `steps` and the log still hold the same ticks.
                 steps.append(step)
                 if log_file is not None:
-                    log_file.write(step.line(k))
+                    log_file.write(serialize_trace((step,), k))
                 log.info(
                     "tick %d: input %s -> %s color=%s tone=%s",
                     k,

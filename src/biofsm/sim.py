@@ -6,6 +6,7 @@ are reproducible byte for byte. A step's tick is its position in the run, so
 each of the 25 (input, state) steps is built once and shared. `iter_steps` is
 also the benchtop's live tick loop, driven over UDP by `nodes.replay_script`.
 It walks the graph of configurations its run has reached: one edge dict each.
+`serialize_trace` is the one trace renderer; the live benchtop logs with it.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class SimStep:
     def command(self) -> ActuationCommand:
         return ACTUATION[self.state]
 
-    def line(self, tick: int) -> str:
-        """This step's trace line at `tick`: one JSON object, stable key order, LF ending."""
-        return f'{{"tick": {tick}, {self.tail}'
-
 
 _STEPS = {
     (symbol, state): SimStep(symbol, state, json.dumps(
@@ -95,13 +92,18 @@ def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[
     runtime = FsmRuntime(brownout_ticks=brownout_ticks)
     edges_of: dict[FsmRuntime, dict[InputSymbol, tuple[dict, FsmRuntime, SimStep]]] = {}
     edges = edges_of[runtime] = {}
-    for symbol in symbols:
-        hit = edges.get(symbol)
-        if hit is None:
-            nxt = tick(runtime, symbol)[0]
-            hit = edges[symbol] = edges_of.setdefault(nxt, {}), nxt, _STEPS[symbol, nxt.state]
-        edges, runtime, step = hit
-        yield step
+    try:
+        for symbol in symbols:
+            hit = edges.get(symbol)
+            if hit is None:
+                nxt = tick(runtime, symbol)[0]
+                hit = edges[symbol] = edges_of.setdefault(nxt, {}), nxt, _STEPS[symbol, nxt.state]
+            edges, runtime, step = hit
+            yield step
+    finally:
+        # The table is a cyclic graph: emptying each dict frees it by reference counting.
+        for table in edges_of.values():
+            table.clear()
 
 
 def run_simulation(script: Sequence[InputSymbol], brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> list[SimStep]:
@@ -109,6 +111,6 @@ def run_simulation(script: Sequence[InputSymbol], brownout_ticks: int = DEFAULT_
     return list(iter_steps(script, brownout_ticks))
 
 
-def serialize_trace(steps: Iterable[SimStep]) -> str:
-    """Render steps as JSON lines, each tick its position. Stable key order, LF endings."""
-    return "".join([step.line(tick) for tick, step in enumerate(steps)])
+def serialize_trace(steps: Iterable[SimStep], start: int = 0) -> str:
+    """Render steps as JSON lines, ticks counted from `start`. Stable key order, LF endings."""
+    return "".join([f'{{"tick": {k}, {step.tail}' for k, step in enumerate(steps, start)])

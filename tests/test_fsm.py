@@ -1,7 +1,9 @@
 import copy
+import itertools
 import pickle
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from biofsm.fsm import (
     DEFAULT_BROWNOUT_TICKS,
     ActuationCommand,
     BenchState,
+    DeterminismReport,
     FsmRuntime,
     Tone,
     tick,
@@ -200,6 +203,53 @@ def test_enumeration_rejects_a_mutant_that_lets_silence_pick_a_valid_target(monk
     assert main(["simulate", "--transitions"]) == 1
     out = capsys.readouterr().out
     assert "HIGH/NORMAL" in out and out.endswith(": NON-DETERMINISTIC\n")
+
+
+def reference_verify_determinism(brownout_ticks):
+    """The proof as a plain product loop: a fresh configuration for every (state, input, silence)."""
+    successors = {(state, symbol): set() for state, symbol in itertools.product(BenchState, InputSymbol)}
+    checked = 0
+    for (state, symbol), silence in itertools.product(successors, range(brownout_ticks + 1)):
+        successors[state, symbol].add(tick(FsmRuntime(state, silence, brownout_ticks), symbol)[0].state)
+        checked += 1
+    return successors, checked
+
+
+@pytest.mark.parametrize("brownout_ticks", [*range(1, 13), 50])
+def test_the_proof_ticks_each_configuration_once_with_each_input(brownout_ticks, monkeypatch):
+    calls = []  # holds every configuration, so no id is reused
+
+    def counted(runtime, symbol):
+        calls.append((runtime, symbol))
+        return tick(runtime, symbol)
+
+    monkeypatch.setattr(fsm, "tick", counted)
+    assert verify_determinism(brownout_ticks).deterministic
+    configurations = 5 * (brownout_ticks + 1)
+    assert len(calls) == 5 * configurations
+    assert len(set(calls)) == len(calls)
+    assert len({id(runtime) for runtime, _ in calls}) == configurations
+
+
+@pytest.mark.parametrize("brownout_ticks", [1, 10, 50])
+def test_the_proof_reports_what_a_product_loop_finds(brownout_ticks):
+    report = verify_determinism(brownout_ticks)
+    successors, checked = reference_verify_determinism(brownout_ticks)
+    assert report.successors == successors
+    assert list(report.successors) == list(successors)
+    assert report.configurations_checked == checked
+    assert report.render() == DeterminismReport(brownout_ticks, checked, successors, []).render()
+
+
+def test_the_proof_keeps_no_configuration_list():
+    verify_determinism(5000)  # warm up, so only the proof's own memory is traced
+    tracemalloc.start()
+    try:
+        verify_determinism(5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # a list of its 5,001 configurations per state would take about 1 MiB
 
 
 @settings(max_examples=60)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import tracemalloc
@@ -152,7 +153,7 @@ def test_every_trace_line_equals_its_reference(tick_index):
     assert set(sim._STEPS) == set(itertools.product(InputSymbol, BenchState))
     for (symbol, state), step in sim._STEPS.items():
         assert (step.input, step.state) == (symbol, state)
-        assert step.line(tick_index) == reference_line(step, tick_index)
+        assert sim.serialize_trace([step], tick_index) == reference_line(step, tick_index)
         assert step.command is ACTUATION[step.state]
 
 
@@ -210,6 +211,31 @@ def test_any_script_traces_like_the_reference(script, brownout_ticks):
         assert runtime == expected
         assert command is ACTUATION[runtime.state]
     assert verify_determinism(brownout_ticks).deterministic
+
+
+@settings(max_examples=80, deadline=None)
+@given(scripts, st.integers(0, 10**6))
+def test_a_trace_is_its_steps_rendered_one_by_one(script, start):
+    # The live benchtop logs each tick this way; the whole trace must agree.
+    steps = run_simulation(script)
+    assert serialize_trace(steps, start) == "".join(serialize_trace([s], start + k) for k, s in enumerate(steps))
+
+
+def test_a_run_leaves_no_cyclic_garbage():
+    script = [A, B, X, C] + [ABSENT] * 11 + [X]  # through all five states
+    gc.collect()
+    gc.disable()
+    try:
+        trace = serialize_trace(run_simulation(script))
+        assert gc.collect() == 0
+        steps = iter_steps(script * 2, DEFAULT_BROWNOUT_TICKS)
+        for _ in script:
+            next(steps)
+        steps.close()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert {json.loads(line)["state"] for line in trace.splitlines()} == {state.value for state in BenchState}
 
 
 def ticks_called(script, brownout_ticks):
