@@ -122,7 +122,11 @@ def evaluate_table3(records: Sequence[TraceRecord]) -> dict:
 
 
 def render_report(report: dict) -> str:
-    """The text table `biofsm evaluate` prints for an `evaluate_table3` document."""
+    """The text table `biofsm evaluate` prints for an `evaluate_table3` document.
+
+    It ends by naming the clips whose reported figure is not k/16 for any
+    k, which no scoring of the fixture's 16 intervals can give.
+    """
     discrepancies = report["discrepancy_clips"]
     lines = ["clip  matches  accuracy   reported"]
     for c in report["clips"]:
@@ -137,5 +141,13 @@ def render_report(report: dict) -> str:
             "computed accuracies do not match the originally reported figures "
             f"for clips {discrepancies}; the reported figures are not "
             "reproducible from the published per-interval data"
+        )
+    n = FIXTURE_INTERVALS_PER_CLIP
+    scores = {round(100.0 * k / n, 2) for k in range(n + 1)}
+    off_grid = [c["clip"] for c in report["clips"] if c["reported_percent"] not in (None, *scores)]
+    if off_grid:
+        lines.append(
+            f"the reported figures for clips {off_grid} are not k/{n} for any k, "
+            f"so no scoring of {n} intervals gives them"
         )
     return "\n".join(lines)

@@ -6,10 +6,11 @@ payload forces INVALID, except that BROWNOUT absorbs it: garbage is not
 evidence the wearable is back. Silence is counted per tick; enough
 consecutive silent ticks latch BROWNOUT until a valid byte arrives.
 
-Transitions are pure functions of (state, silence counter, input), which
-makes the machine exhaustively checkable: `verify_determinism` enumerates
-every configuration and checks that each successor is a valid one. Each
-`tick` builds and validates a fresh successor configuration.
+Transitions are pure functions of (state, silence counter, input), and
+`tick` reads the counter s only as `min(s+1, b)` and through `>= b`. So
+`verify_determinism` proves a budget b, however large, by ticking each state
+at four counter values: 0, b-1, b, and 1 standing for every 1 <= s <= b-2.
+Each `tick` builds and validates a fresh successor configuration.
 """
 
 from __future__ import annotations
@@ -138,24 +139,31 @@ class DeterminismReport:
 
 
 def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> DeterminismReport:
-    """Check every (state, silence, input) configuration's successor.
+    """Check the successor of every (state, silence, input) configuration, for any budget.
 
-    Configuration-major: each (state, silence) configuration is built once
-    and ticked once with each input. Its successor must be a valid
-    configuration of the same machine (construction rejects a silence
-    counter outside 0..brownout_ticks) carrying its state's actuation. The
-    successor table is keyed by (state, input); an ABSENT cell may legally
-    hold several successors because the silence counter, not the state,
-    picks between staying put and browning out.
+    With b = brownout_ticks, `tick` reads the silence counter s only as
+    `min(s+1, b)` and through `>= b`, so it treats alike every s within each
+    of four classes: 0, after any byte; "mid", 1 <= s <= b-2; "last",
+    s = b-1; and "full", s = b. Each state is built once at each class's
+    representative, sorted({0, 1, b-1, b}) (every counter value when
+    b <= 2), and ticked once with each input: at most 100 ticks, whatever b
+    is. Each successor must be a valid configuration of the same machine
+    (construction rejects a silence counter outside 0..brownout_ticks)
+    carrying its state's shared actuation. The successor table is keyed by
+    (state, input); an ABSENT cell may legally hold several successors
+    because the silence counter, not the state, picks between staying put
+    and browning out. `configurations_checked` counts the 25·(b+1) concrete
+    (state, silence, input) triples that the classes cover.
     """
     FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
     successors: dict[tuple[BenchState, InputSymbol], set[BenchState]] = {
         (state, symbol): set() for state in BenchState for symbol in InputSymbol
     }
     conflicts: list[str] = []
+    silences = sorted({0, 1, brownout_ticks - 1, brownout_ticks})
     for state in BenchState:
         cells = [(symbol, successors[state, symbol]) for symbol in InputSymbol]
-        for silence in range(brownout_ticks + 1):
+        for silence in silences:
             runtime = FsmRuntime(state, silence, brownout_ticks)
             for symbol, cell in cells:
                 nxt, command = tick(runtime, symbol)

@@ -212,6 +212,34 @@ def test_simulate_transitions_table(capsys):
     assert "BROWNOUT" in out and "deterministic" in out
 
 
+def test_simulate_transitions_proves_a_billion_tick_budget(capsys):
+    started = time.monotonic()
+    assert main(["simulate", "--transitions", "--brownout-ticks", "1000000000"]) == 0
+    elapsed = time.monotonic() - started
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "25000000025 configurations checked, brownout after 1000000000 silent ticks: deterministic"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("brownout_ticks", [1, 2, 3, 64, 10**9])
+def test_simulate_transitions_rows_match_the_golden_table_at_every_budget(brownout_ticks, capsys):
+    golden = (Path(__file__).resolve().parent / "golden" / "transitions.txt").read_text().splitlines()
+    assert main(["simulate", "--transitions", "--brownout-ticks", str(brownout_ticks)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[:2] == golden[:2]
+    changed = {
+        (row.split()[0], symbol.name)
+        for row, golden_row in zip(table[2:7], golden[2:7])
+        for symbol, cell, golden_cell in zip(InputSymbol, row.split()[1:], golden_row.split()[1:], strict=True)
+        if cell != golden_cell
+    }
+    if brownout_ticks == 1:
+        # One silent tick browns out, so no state but BROWNOUT can stay put on silence.
+        assert changed == {(state, "ABSENT") for state in ("NORMAL", "MILD", "HIGH", "INVALID")}
+    else:
+        assert table[2:7] == golden[2:7]
+
+
 @pytest.mark.parametrize("target", [["script.txt"], ["--transitions"]])
 def test_simulate_rejects_zero_brownout_ticks(target, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -4,6 +4,7 @@ import pickle
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,20 +172,24 @@ def test_enumeration_flags_a_successor_outside_the_machine(monkeypatch):
     import biofsm.fsm as fsm
 
     real_tick = fsm.tick
+    ticks = []
 
     def resized(runtime, symbol):
+        ticks.append(runtime)
         nxt, command = real_tick(runtime, symbol)
         return FsmRuntime(nxt.state, nxt.silence_ticks, runtime.brownout_ticks + 1), command
 
     def copied(runtime, symbol):
+        ticks.append(runtime)
         nxt, command = real_tick(runtime, symbol)
         return nxt, ActuationCommand(command.color, command.tone)
 
     for broken in (resized, copied):
+        ticks.clear()
         monkeypatch.setattr(fsm, "tick", broken)
         report = verify_determinism()
         assert not report.deterministic
-        assert len(report.conflicts) == report.configurations_checked
+        assert len(report.conflicts) == len(ticks)  # every ticked edge is flagged
 
 
 def test_enumeration_rejects_a_mutant_that_lets_silence_pick_a_valid_target(monkeypatch, capsys):
@@ -197,25 +202,65 @@ def test_enumeration_rejects_a_mutant_that_lets_silence_pick_a_valid_target(monk
         return real_tick(runtime, symbol)
 
     monkeypatch.setattr(fsm, "tick", mutant)
-    report = verify_determinism()
-    assert not report.deterministic
-    assert report.conflicts == [f"({state.name}, VALID_A) has successors ['HIGH', 'NORMAL']" for state in BenchState]
-    assert main(["simulate", "--transitions"]) == 1
-    out = capsys.readouterr().out
-    assert "HIGH/NORMAL" in out and out.endswith(": NON-DETERMINISTIC\n")
+    for brownout_ticks in (10, 10**9):
+        report = verify_determinism(brownout_ticks)
+        assert not report.deterministic
+        assert report.conflicts == [f"({state.name}, VALID_A) has successors ['HIGH', 'NORMAL']" for state in BenchState]
+        assert main(["simulate", "--transitions", "--brownout-ticks", str(brownout_ticks)]) == 1
+        out = capsys.readouterr().out
+        assert "HIGH/NORMAL" in out and out.endswith(": NON-DETERMINISTIC\n")
 
 
-def reference_verify_determinism(brownout_ticks):
-    """The proof as a plain product loop: a fresh configuration for every (state, input, silence)."""
+GOLDEN_ROWS = (Path(__file__).resolve().parent / "golden" / "transitions.txt").read_text().splitlines()[2:7]
+
+
+def never_advances_silence(runtime, symbol):
+    # ABSENT keeps the whole configuration, so no silent run ever browns out.
+    if symbol is InputSymbol.ABSENT:
+        return runtime, ACTUATION[runtime.state]
+    return tick(runtime, symbol)
+
+
+def any_byte_lifts_brownout_to_normal(runtime, symbol):
+    if runtime.state is BenchState.BROWNOUT and symbol is not InputSymbol.ABSENT:
+        return tick(runtime, InputSymbol.VALID_A)
+    return tick(runtime, symbol)
+
+
+@pytest.mark.parametrize(
+    "mutant, changed_rows",
+    [
+        (never_advances_silence, ["NORMAL", "MILD", "HIGH", "INVALID"]),
+        (any_byte_lifts_brownout_to_normal, ["BROWNOUT"]),
+    ],
+)
+def test_the_table_exposes_each_robustness_mutant_at_any_budget(mutant, changed_rows, monkeypatch):
+    # Both mutants are deterministic, so only their tables give them away.
+    monkeypatch.setattr(fsm, "tick", mutant)
+    for brownout_ticks in (10, 10**9):
+        report = verify_determinism(brownout_ticks)
+        assert report.deterministic
+        rows = report.render().splitlines()[2:7]
+        assert [row.split()[0] for row, golden in zip(rows, GOLDEN_ROWS) if row != golden] == changed_rows
+
+
+def reference_verify_determinism(brownout_ticks, step=tick):
+    """The proof as a plain product loop: a fresh configuration for every (state, input, silence).
+
+    `verify_determinism` ticks one silence per counter class, so it is blind
+    to a `tick` that treats two silences of one class differently (see
+    `misbehaves_at_silence_5`). This loop ticks every silence, which is why
+    it stays here as the reference.
+    """
     successors = {(state, symbol): set() for state, symbol in itertools.product(BenchState, InputSymbol)}
     checked = 0
     for (state, symbol), silence in itertools.product(successors, range(brownout_ticks + 1)):
-        successors[state, symbol].add(tick(FsmRuntime(state, silence, brownout_ticks), symbol)[0].state)
+        successors[state, symbol].add(step(FsmRuntime(state, silence, brownout_ticks), symbol)[0].state)
         checked += 1
     return successors, checked
 
 
-@pytest.mark.parametrize("brownout_ticks", [*range(1, 13), 50])
+@pytest.mark.parametrize("brownout_ticks", [*range(1, 13), 50, 10**9])
 def test_the_proof_ticks_each_configuration_once_with_each_input(brownout_ticks, monkeypatch):
     calls = []  # holds every configuration, so no id is reused
 
@@ -225,13 +270,13 @@ def test_the_proof_ticks_each_configuration_once_with_each_input(brownout_ticks,
 
     monkeypatch.setattr(fsm, "tick", counted)
     assert verify_determinism(brownout_ticks).deterministic
-    configurations = 5 * (brownout_ticks + 1)
-    assert len(calls) == 5 * configurations
+    configurations = 5 * len({0, 1, brownout_ticks - 1, brownout_ticks})
+    assert len(calls) == 5 * configurations <= 100
     assert len(set(calls)) == len(calls)
     assert len({id(runtime) for runtime, _ in calls}) == configurations
 
 
-@pytest.mark.parametrize("brownout_ticks", [1, 10, 50])
+@pytest.mark.parametrize("brownout_ticks", range(1, 65))
 def test_the_proof_reports_what_a_product_loop_finds(brownout_ticks):
     report = verify_determinism(brownout_ticks)
     successors, checked = reference_verify_determinism(brownout_ticks)
@@ -239,6 +284,77 @@ def test_the_proof_reports_what_a_product_loop_finds(brownout_ticks):
     assert list(report.successors) == list(successors)
     assert report.configurations_checked == checked
     assert report.render() == DeterminismReport(brownout_ticks, checked, successors, []).render()
+
+
+def representative(silence, brownout_ticks):
+    """The silence `verify_determinism` ticks in place of `silence`: 0, b-1 and b stand for themselves, the rest for 1."""
+    return silence if silence in (0, brownout_ticks - 1, brownout_ticks) else 1
+
+
+def counter_class(silence, brownout_ticks):
+    if silence == 0:
+        return "zero"
+    if silence == brownout_ticks:
+        return "full"
+    return "last" if silence == brownout_ticks - 1 else "mid"
+
+
+# The abstract machine's ABSENT edges; any byte leads to "zero". From
+# "zero", the first silent tick lands in "mid", "last" or "full" as b is
+# at least 3, 2 or 1.
+ABSENT_EDGES = {"zero": {"mid", "last", "full"}, "mid": {"mid", "last"}, "last": {"full"}, "full": {"full"}}
+
+
+def abstraction_errors(step, state, silence, brownout_ticks, symbol):
+    """How `step` from (state, silence) breaks the counter abstraction `verify_determinism` rests on."""
+    nxt, command = step(FsmRuntime(state, silence, brownout_ticks), symbol)
+    rep = representative(silence, brownout_ticks)
+    rep_nxt, rep_command = step(FsmRuntime(state, rep, brownout_ticks), symbol)
+    errors = []
+    if (nxt.state, command) != (rep_nxt.state, rep_command):
+        errors.append(f"silence {silence} gave {nxt.state.name}, silence {rep} gave {rep_nxt.state.name}")
+    edges = ABSENT_EDGES[counter_class(silence, brownout_ticks)] if symbol is InputSymbol.ABSENT else {"zero"}
+    if counter_class(nxt.silence_ticks, brownout_ticks) not in edges:
+        errors.append(f"silence {silence} led to silence {nxt.silence_ticks}")
+    return errors
+
+
+@st.composite
+def budgets_and_silences(draw):
+    brownout_ticks = draw(st.one_of(st.integers(1, 70), st.integers(1, 10**12)))
+    edges = [s for s in (0, 1, 2, brownout_ticks - 2, brownout_ticks - 1, brownout_ticks) if 0 <= s <= brownout_ticks]
+    silence = draw(st.one_of(st.integers(0, brownout_ticks), st.sampled_from(edges)))
+    return brownout_ticks, silence
+
+
+@settings(max_examples=300)
+@given(budgets_and_silences(), st.sampled_from(list(BenchState)), st.sampled_from(list(InputSymbol)))
+def test_tick_cannot_tell_a_silence_from_its_class_representative(budget_and_silence, state, symbol):
+    brownout_ticks, silence = budget_and_silence
+    assert abstraction_errors(tick, state, silence, brownout_ticks, symbol) == []
+
+
+def misbehaves_at_silence_5(runtime, symbol):
+    # Silence 5 of b = 10 is a "mid" value that `verify_determinism` never ticks.
+    if symbol is InputSymbol.VALID_A and runtime.silence_ticks == 5 and runtime.brownout_ticks == 10:
+        return tick(runtime, InputSymbol.VALID_C)
+    return tick(runtime, symbol)
+
+
+def test_a_mutant_between_representatives_fails_the_property_and_the_reference(monkeypatch):
+    failing = {
+        (state, silence)
+        for state in BenchState
+        for silence in range(11)
+        if abstraction_errors(misbehaves_at_silence_5, state, silence, 10, InputSymbol.VALID_A)
+    }
+    assert failing == {(state, 5) for state in BenchState}
+    successors, _ = reference_verify_determinism(10, misbehaves_at_silence_5)
+    for state in BenchState:
+        assert successors[state, InputSymbol.VALID_A] == {BenchState.NORMAL, BenchState.HIGH}
+    # The abstract proof alone cannot see it: its soundness is the property above.
+    monkeypatch.setattr(fsm, "tick", misbehaves_at_silence_5)
+    assert verify_determinism(10).deterministic
 
 
 def test_the_proof_keeps_no_configuration_list():

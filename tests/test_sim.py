@@ -355,6 +355,7 @@ def test_fixture_discrepancy_is_flagged():
     rendered = render_report(report)
     assert "differs" in rendered
     assert "not" in rendered and "reproducible" in rendered
+    assert rendered.endswith("\nthe reported figures for clips [1, 2] are not k/16 for any k, so no scoring of 16 intervals gives them")
     payload = json.loads(json.dumps(report))
     assert payload["discrepancy_clips"] == [1, 2, 3]
     assert payload["reported_average_percent"] == 41.0
