@@ -1,23 +1,27 @@
 """Arousal classification: weighted threshold ladder over HR and GSR features.
 
-Each beat yields a feature frame (heart rate, smoothed skin conductance).
-Frames accumulate into fixed back-to-back windows; at each window boundary
-the frames vote through a two-band threshold ladder and the class with the
-most votes wins. Skin conductance casts more votes than heart rate. Frames
-outside the supported physiological range are dropped rather than clamped.
+Each beat yields a feature frame: heart rate, and skin conductance smoothed
+by the mean of the last GSR_WINDOW_SIZE samples, read at the beat so both
+features stay synchronized to the heartbeat. Frames accumulate into fixed
+back-to-back windows; at each window boundary the frames vote through a
+two-band threshold ladder and the class with the most votes wins. Skin
+conductance casts more votes than heart rate. Frames outside the supported
+physiological range are dropped rather than clamped.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .signals import BeatDetector, Channel, GsrCollector, PhysioSample
+from .signals import BeatDetector, Channel, PhysioSample, SampleOrderError
 
 _GSR = Channel.GSR  # bound once for the per-sample loop, as in signals
 
 DEFAULT_WINDOW_MS = 15000.0
+GSR_WINDOW_SIZE = 8  # GSR samples in the moving mean read at each beat
 
 
 class ArousalClass(str, Enum):
@@ -176,14 +180,16 @@ class FeatureExtractor:
     """Fuses the raw two-channel stream into per-beat feature frames.
 
     Heart rate is 60000 / the latest inter-beat gap, skin conductance the
-    smoothing window's mean at the beat. Frames start once the first gap
-    exists and the GSR window has filled. A sample whose value or timestamp
+    uniform mean of the last GSR_WINDOW_SIZE GSR samples at the beat. Frames
+    start once the first gap exists and that many GSR samples have arrived.
+    GSR timestamps must strictly increase. A sample whose value or timestamp
     is not finite is skipped and counted in `non_finite`.
     """
 
     def __init__(self):
         self.detector = BeatDetector()
-        self.collector = GsrCollector()
+        self.gsr_window: deque[float] = deque(maxlen=GSR_WINDOW_SIZE)
+        self.gsr_timestamp_ms: float | None = None
         self.non_finite = 0
 
     def add(self, sample: PhysioSample) -> FeatureFrame | None:
@@ -191,13 +197,16 @@ class FeatureExtractor:
             self.non_finite += 1
             return None
         if sample.channel is _GSR:
-            self.collector.add(sample)
+            last = self.gsr_timestamp_ms
+            if last is not None and sample.timestamp_ms <= last:
+                raise SampleOrderError(f"GSR timestamp {sample.timestamp_ms} not after {last}")
+            self.gsr_timestamp_ms = sample.timestamp_ms
+            self.gsr_window.append(sample.value)
             return None
         beat = self.detector.step(sample)
         if beat is None:
             return None
         gap = beat.inter_beat_interval_ms
-        gsr = self.collector.smoothed()
-        if gap is None or gsr is None:
+        if gap is None or len(self.gsr_window) < GSR_WINDOW_SIZE:
             return None
-        return FeatureFrame(beat.beat_index, beat.timestamp_ms, 60000.0 / gap, gsr)
+        return FeatureFrame(beat.beat_index, beat.timestamp_ms, 60000.0 / gap, sum(self.gsr_window) / GSR_WINDOW_SIZE)

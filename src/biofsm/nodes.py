@@ -164,13 +164,13 @@ def replay_script(
     script: Sequence[InputSymbol],
     tick_ms: float = DEFAULT_TICK_MS,
     drop_ticks: set[int] | None = None,
-    brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
 ) -> list[SimStep]:
     """Run `run_benchtop` over real loopback UDP, sending tick k's datagram just before its poll.
 
     Scripted ABSENT ticks send nothing, as do ticks in `drop_ticks` (loss in
     flight); UNRECOGNIZED ticks send a byte outside the protocol alphabet.
-    The returned steps carry the symbols as seen on the wire.
+    The returned steps carry the symbols as seen on the wire. The benchtop
+    runs at `run_benchtop`'s default brownout budget.
     """
     ticks = enumerate(script)
     with UdpReceiver(EndpointConfig(port=0)) as receiver, UdpSender(EndpointConfig(port=receiver.port)) as sender:
@@ -180,7 +180,7 @@ def replay_script(
                 sender.send_raw(PAYLOADS.get(symbol, b"?"))
             return False
 
-        return run_benchtop(receiver, tick_ms, brownout_ticks, max_ticks=len(script), should_stop=send_next)
+        return run_benchtop(receiver, tick_ms, max_ticks=len(script), should_stop=send_next)
 
 
 def _received(

@@ -1,11 +1,10 @@
-"""Physiological signal layer: sample streams, beat detection, GSR smoothing.
+"""Physiological signal layer: sample streams and beat detection.
 
 The wearable side of the system works on two raw channels. The optical pulse
 channel (PPG) carries a small cardiac AC ripple on top of a large, slowly
 moving DC baseline; beats are declared by threshold crossings of the
-baseline-removed signal. The skin-conductance channel (GSR) is smoothed by a
-short moving mean that is read at each beat detection, so downstream
-features stay synchronized to the heartbeat.
+baseline-removed signal. The skin-conductance channel (GSR) passes through
+unchanged; `classifier.FeatureExtractor` smooths it at each beat.
 
 Streams can come from the synthetic generator (`synth_physio`) or from a
 recorded trace CSV (`load_trace`). Both produce the same `PhysioSample` items.
@@ -16,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -131,33 +129,6 @@ class BeatDetector:
         envelope *= ENVELOPE_DECAY
         self.envelope = ac if ac > envelope else envelope
         return beat
-
-
-GSR_WINDOW_SIZE = 8
-
-
-class GsrCollector:
-    """Rolling buffer of the last few GSR samples; its mean is the smoothed level."""
-
-    def __init__(self):
-        self._samples: deque[float] = deque(maxlen=GSR_WINDOW_SIZE)
-        self._last_timestamp_ms: float | None = None
-
-    def add(self, sample: PhysioSample) -> None:
-        if sample.channel is not _GSR:
-            raise ValueError(f"GSR collector expects GSR samples, got {sample.channel}")
-        if self._last_timestamp_ms is not None and sample.timestamp_ms <= self._last_timestamp_ms:
-            raise SampleOrderError(
-                f"GSR timestamp {sample.timestamp_ms} not after {self._last_timestamp_ms}"
-            )
-        self._last_timestamp_ms = sample.timestamp_ms
-        self._samples.append(sample.value)
-
-    def smoothed(self) -> float | None:
-        """Uniform mean of the last GSR_WINDOW_SIZE samples; None until that many arrived."""
-        if len(self._samples) < GSR_WINDOW_SIZE:
-            return None
-        return sum(self._samples) / GSR_WINDOW_SIZE
 
 
 PPG_RATE_HZ = 50.0      # synthetic sample rates

@@ -81,6 +81,11 @@ _STEPS = {
 }
 
 
+# Above the 5·(b+1) configurations a run can reach under any budget b <= 50,
+# the default included, so there the table never empties.
+MAX_CONFIGURATIONS = 1024
+
+
 def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[SimStep]:
     """The tick loop every caller shares: one step per symbol, from NORMAL.
 
@@ -88,6 +93,9 @@ def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[
     local to this call maps each configuration reached to one dict, input ->
     (successor's dict, successor, shared step): `tick` runs once per pair the
     run reaches, at most 25·(brownout_ticks+1) times, and a repeat is a probe.
+    A miss with MAX_CONFIGURATIONS already in the table empties it and starts
+    over from the current configuration, so a long silence under a large
+    budget holds bounded memory, and `tick` runs again for pairs seen before.
     """
     runtime = FsmRuntime(brownout_ticks=brownout_ticks)
     edges_of: dict[FsmRuntime, dict[InputSymbol, tuple[dict, FsmRuntime, SimStep]]] = {}
@@ -96,6 +104,10 @@ def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[
         for symbol in symbols:
             hit = edges.get(symbol)
             if hit is None:
+                if len(edges_of) >= MAX_CONFIGURATIONS:
+                    for table in edges_of.values():
+                        table.clear()
+                    edges_of = {runtime: edges}
                 nxt = tick(runtime, symbol)[0]
                 hit = edges[symbol] = edges_of.setdefault(nxt, {}), nxt, _STEPS[symbol, nxt.state]
             edges, runtime, step = hit

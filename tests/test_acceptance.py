@@ -22,7 +22,6 @@ from biofsm.nodes import replay_script
 from biofsm.protocol import InputSymbol
 from biofsm.signals import (
     Channel,
-    GsrCollector,
     PhysioSample,
     SignalProfile,
     synth_physio,
@@ -173,10 +172,13 @@ def test_criterion_5_beat_rate_fidelity():
 
 
 def _smoothed(values):
-    collector = GsrCollector()
+    """The extractor's `gsr_us` at the one framed beat of a PPG spike pair fed after these GSR values."""
+    extractor = FeatureExtractor()
     for i, value in enumerate(values):
-        collector.add(PhysioSample(i * 100.0, Channel.GSR, value))
-    return collector.smoothed()
+        extractor.add(PhysioSample(i * 100.0, Channel.GSR, value))
+    pulse = [(0.0, 0.0), (1000.0, 100.0), (1020.0, 0.0), (1500.0, 100.0)]
+    frames = [f for f in (extractor.add(PhysioSample(t, Channel.PPG, v)) for t, v in pulse) if f is not None]
+    return frames[0].gsr_us if frames else None
 
 
 def test_criterion_6_gsr_smoother_exact_and_linear():

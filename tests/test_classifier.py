@@ -10,6 +10,7 @@ from biofsm.classifier import (
     GSR_RANGE,
     GSR_SPLITS,
     GSR_VOTES,
+    GSR_WINDOW_SIZE,
     HR_RANGE,
     HR_SPLITS,
     HR_VOTES,
@@ -21,7 +22,7 @@ from biofsm.classifier import (
     WindowDecision,
     classify_window,
 )
-from biofsm.signals import MIN_THRESHOLD, Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
+from biofsm.signals import MIN_THRESHOLD, BeatDetector, Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
 
 
 def frame(bpm, gsr, index=0, ts=0.0):
@@ -278,6 +279,44 @@ def test_extractor_anchors_gsr_windows_to_beats():
     assert [f.bpm for f in frames] == [60.0, 60.0, 60.0]
     # At 1500 ms the last 8 GSR samples are 7..14 -> mean 10.5, and so on.
     assert [f.gsr_us for f in frames] == [10.5, 20.5, 30.5]
+
+
+# A stream is PPG pulls (None) and GSR samples (timestamp step, value) in any
+# order, led by up to a dozen PPG samples so beats can precede every GSR sample.
+INTERLEAVINGS = st.tuples(
+    st.integers(0, 12),
+    st.lists(st.none() | st.tuples(st.floats(1e-3, 500.0), st.floats(-1e3, 1e3)), min_size=30, max_size=150),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(INTERLEAVINGS)
+def test_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving):
+    lead, items = interleaving
+    stream, k, t_gsr = [], 0, 0.0
+    for item in [None] * lead + items:
+        if item is None:  # a spike train: 100 on every other PPG sample, 200 ms apart
+            stream.append(PhysioSample(k * 200.0, Channel.PPG, 100.0 * (k % 2)))
+            k += 1
+        else:
+            t_gsr += item[0]
+            stream.append(PhysioSample(t_gsr, Channel.GSR, item[1]))
+
+    extractor = FeatureExtractor()
+    frames = [f for f in map(extractor.add, stream) if f is not None]
+
+    # Reference: at each beat with an interval, the mean of the last
+    # GSR_WINDOW_SIZE GSR values that came before it, or no frame.
+    detector, gsr, expected = BeatDetector(), [], []
+    for sample in stream:
+        if sample.channel is Channel.GSR:
+            gsr.append(sample.value)
+            continue
+        beat = detector.step(sample)
+        if beat is not None and beat.inter_beat_interval_ms is not None and len(gsr) >= GSR_WINDOW_SIZE:
+            mean = sum(gsr[-GSR_WINDOW_SIZE:]) / GSR_WINDOW_SIZE
+            expected.append(FeatureFrame(beat.beat_index, beat.timestamp_ms, 60000.0 / beat.inter_beat_interval_ms, mean))
+    assert frames == expected  # gsr_us compared exactly
 
 
 # A clean 6 s session that the property below edits: long enough for beats,

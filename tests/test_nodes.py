@@ -4,6 +4,7 @@ import logging
 import math
 from contextlib import closing
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -197,7 +198,7 @@ class StubReceiver:
 def run_on_fake_clock(monkeypatch, ticks, pauses=None):
     """Run the benchtop for `ticks` ticks on a fake clock; `pauses` maps tick -> extra seconds of work."""
     clock = FakeClock()
-    monkeypatch.setattr(nodes.time, "monotonic", clock)
+    monkeypatch.setattr(nodes, "time", SimpleNamespace(monotonic=clock))
     receiver = StubReceiver(clock)
     started = itertools.count()
     pauses = pauses or {}

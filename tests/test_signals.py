@@ -8,12 +8,11 @@ from statistics import median
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biofsm.classifier import FeatureExtractor
+from biofsm.classifier import GSR_WINDOW_SIZE, FeatureExtractor
 from biofsm.signals import (
     DC_COEFFICIENT,
     ENVELOPE_DECAY,
     GSR_RATE_HZ,
-    GSR_WINDOW_SIZE,
     MIN_THRESHOLD,
     PPG_AMPLITUDE,
     PPG_OFFSET,
@@ -24,7 +23,6 @@ from biofsm.signals import (
     BeatDetector,
     BeatEvent,
     Channel,
-    GsrCollector,
     PhysioSample,
     SampleOrderError,
     SignalProfile,
@@ -65,12 +63,17 @@ def pulse_frames(gaps_ms):
 
 
 def smoothed(values):
-    """The collector's mean over exactly these GSR values."""
-    assert len(values) == GSR_WINDOW_SIZE
-    collector = GsrCollector()
+    """The extractor's `gsr_us` at a beat after these GSR values; None if the beat makes no frame.
+
+    The beat is a PPG spike pair on a flat line, so its frame carries a gap.
+    """
+    extractor = FeatureExtractor()
     for i, value in enumerate(values):
-        collector.add(PhysioSample(i * 100.0, Channel.GSR, value))
-    return collector.smoothed()
+        assert extractor.add(PhysioSample(i * 100.0, Channel.GSR, value)) is None
+    pulse = [(0.0, 0.0), (1000.0, 100.0), (1020.0, 0.0), (1500.0, 100.0)]
+    *warmup, frame = [extractor.add(PhysioSample(t, Channel.PPG, v)) for t, v in pulse]
+    assert warmup == [None, None, None] and extractor.detector.beat_count == 2
+    return None if frame is None else frame.gsr_us
 
 
 def test_constant_input_produces_no_beats():
@@ -267,7 +270,7 @@ def test_smoother_uniform_mean_is_exact():
 
 
 def test_smoother_rejects_empty_window():
-    assert GsrCollector().smoothed() is None
+    assert smoothed([]) is None
 
 
 @given(
@@ -284,22 +287,20 @@ def test_smoother_is_linear(xs, ys, a):
 
 
 def test_collector_keeps_last_eight():
-    collector = GsrCollector()
-    for i in range(10):
-        collector.add(PhysioSample(i * 100.0, Channel.GSR, float(i)))
-    assert collector.smoothed() == sum([2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]) / 8
+    assert smoothed([float(i) for i in range(10)]) == sum([2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]) / 8
 
 
 def test_collector_warmup_and_order():
-    collector = GsrCollector()
-    for i in range(GSR_WINDOW_SIZE):
-        assert collector.smoothed() is None  # not warm until eight samples
-        collector.add(PhysioSample(i * 100.0, Channel.GSR, float(i)))
-    assert collector.smoothed() == 3.5
-    with pytest.raises(SampleOrderError):
-        collector.add(PhysioSample(700.0, Channel.GSR, 4.0))
-    with pytest.raises(ValueError):
-        collector.add(PhysioSample(800.0, Channel.PPG, 5.0))
+    values = [float(i) for i in range(GSR_WINDOW_SIZE)]
+    for n in range(GSR_WINDOW_SIZE):
+        assert smoothed(values[:n]) is None  # not warm until eight samples
+    assert smoothed(values) == 3.5
+    extractor = FeatureExtractor()
+    for i, value in enumerate(values):
+        extractor.add(PhysioSample(i * 100.0, Channel.GSR, value))
+    with pytest.raises(SampleOrderError) as excinfo:
+        extractor.add(PhysioSample(700.0, Channel.GSR, 4.0))
+    assert str(excinfo.value) == "GSR timestamp 700.0 not after 700.0"
 
 
 def test_synthesis_is_deterministic():

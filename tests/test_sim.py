@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -283,6 +284,49 @@ def test_long_silences_tick_once_per_reached_pair(brownout_ticks, calls):
     # A silence past every budget tried, then one that falls short of 50.
     script = [A] + [ABSENT] * 60 + [B] + [ABSENT] * 49 + [C, X, A]
     assert assert_tick_runs_once_per_reached_pair(script, brownout_ticks) == calls
+
+
+def tick_fold(symbols, brownout_ticks):
+    """(input, state) per tick from folding `tick` over `symbols`, with no table."""
+    runtime = FsmRuntime(brownout_ticks=brownout_ticks)
+    for symbol in symbols:
+        runtime = tick(runtime, symbol)[0]
+        yield symbol, runtime.state
+
+
+def test_a_long_silence_under_a_large_budget_holds_bounded_memory():
+    # Unbounded, the table grew by one configuration per silent tick: 85 MiB here.
+    def script():
+        yield A
+        yield from itertools.repeat(ABSENT, 200_000)
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in iter_steps(script(), 10**9):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+        assert gc.collect() == 0
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 4 * 2**20
+    steps = ((step.input, step.state) for step in iter_steps(script(), 10**9))
+    assert all(got == expected for got, expected in zip(steps, tick_fold(script(), 10**9), strict=True))
+
+
+@pytest.mark.parametrize("brownout_ticks", [1, 10, 2000, 10**6])
+def test_a_table_that_starts_over_still_steps_like_the_plain_fold(brownout_ticks):
+    rng = random.Random(67)
+    script = []
+    while len(script) < 67_000:
+        script += rng.choices([A, B, C, X], k=rng.randint(1, 5))
+        script += [ABSENT] * rng.choice([rng.randint(0, 20), rng.randint(0, 3000)])
+    steps, calls = ticks_called(script, brownout_ticks)
+    assert [(step.input, step.state) for step in steps] == list(tick_fold(script, brownout_ticks))
+    # Only the budgets whose silences outgrow the table make it start over.
+    assert (len(calls) > len(set(calls))) == (brownout_ticks >= 2000)
 
 
 def test_iter_steps_pulls_one_symbol_per_step():
