@@ -1,9 +1,9 @@
 """Runnable node loops: wearable sender and benchtop receiver.
 
-Both nodes append one JSON line per unit of work to a session log when a log
-path is given: the wearable per closed window, the benchtop per tick, so a
-run can be audited or diffed after the fact. `replay_script` sends a tick
-script over loopback UDP to the benchtop's own loop, one datagram per tick;
+Each node logs one JSON line per unit of work at INFO (`-v` prints it) and
+appends it to a session log when a log path is given: the wearable per
+closed window, the benchtop per tick. `replay_script` sends a tick script
+over loopback UDP to the benchtop's own loop, one datagram per tick;
 `wearable --duplex` sends one `iter_wearable` window per tick the same way.
 """
 
@@ -20,7 +20,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, WindowDecision, classify_window
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
-from .protocol import PAYLOADS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
+from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import PhysioSample
 from .sim import SimStep, iter_steps, serialize_trace
 
@@ -47,8 +47,8 @@ def iter_wearable(
 
     Yields each closed window's `WindowDecision` once its byte is sent and its
     `record()` logged, reading samples only up to the frame that closes it.
-    An undecided window is logged and sends nothing; a failed send is logged
-    and recorded with no byte sent. Samples with a non-finite value or
+    An undecided window sends nothing; a failed send is recorded with no byte
+    sent, beside the sender's warning. Samples with a non-finite value or
     timestamp are skipped and counted in one log line at the end, also when
     the caller closes the generator early. Ctrl-C while samples are read ends
     the stream: the partial window is flushed, classified and logged.
@@ -60,11 +60,12 @@ def iter_wearable(
             def emit(closed_windows: list[ClosedWindow]) -> Iterator[WindowDecision]:
                 for closed in closed_windows:
                     decision = _emit_window(closed, sender)
-                    # Rendered first: Ctrl-C while rendering leaves the window out of both.
-                    line = None if log_file is None else json.dumps(decision.record()) + "\n"
+                    # Rendered and logged first: Ctrl-C during either leaves the window out of both.
+                    line = json.dumps(decision.record())
+                    log.info("%s", line)
                     try:
-                        if line is not None:
-                            log_file.write(line)
+                        if log_file is not None:
+                            log_file.write(line + "\n")
                     except KeyboardInterrupt:  # raised as the write returns, so the line is logged: yield it too
                         yield decision
                         raise
@@ -96,19 +97,9 @@ def run_wearable(
 def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowDecision:
     decision = classify_window(closed.frames, window_index=closed.window_index)
     if decision is None:
-        log.info("window %d: no usable frames, nothing sent", closed.window_index)
         return WindowDecision(closed.window_index)
     payload = encode_class(decision.arousal)
     decision.byte_sent = payload.decode("ascii") if sender.send_raw(payload) else None
-    log.info(
-        "window %d: %s (bpm %.1f, gsr %.2f uS, %d frames) -> %s",
-        closed.window_index,
-        decision.arousal.name,
-        decision.bpm_mean,
-        decision.gsr_mean,
-        decision.frames_used,
-        "send failed" if decision.byte_sent is None else f"sent {decision.byte_sent}",
-    )
     return decision
 
 
@@ -128,9 +119,9 @@ def run_benchtop(
     for 0 s and the loop catches up. A tick with nothing received is ABSENT,
     so silence counts in ticks of wall time. Stops after `max_ticks`, when
     `should_stop` (called just before each tick's poll) turns true, or on
-    Ctrl-C at any point of a tick. Each tick's shared step (8 B) is returned,
-    and logged as `serialize_trace((step,), tick)`, so the log is
-    `serialize_trace(steps)` by construction.
+    Ctrl-C at any point of a tick. Each tick's shared step (8 B) is returned;
+    its line `serialize_trace((step,), tick)` is logged at INFO and written,
+    so the log is `serialize_trace(steps)` by construction.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
@@ -145,16 +136,10 @@ def run_benchtop(
                 # Appended first: Ctrl-C during the write is raised as the write
                 # returns, so `steps` and the log still hold the same ticks.
                 steps.append(step)
+                line = serialize_trace((step,), k)
                 if log_file is not None:
-                    log_file.write(serialize_trace((step,), k))
-                log.info(
-                    "tick %d: input %s -> %s color=%s tone=%s",
-                    k,
-                    step.input.value,
-                    step.state.value,
-                    step.command.color,
-                    step.command.tone.value,
-                )
+                    log_file.write(line)
+                log.info("%s", line[:-1])
         except KeyboardInterrupt:
             log.info("benchtop interrupted, stopping")
     return steps
@@ -168,7 +153,7 @@ def replay_script(
     """Run `run_benchtop` over real loopback UDP, sending tick k's datagram just before its poll.
 
     Scripted ABSENT ticks send nothing, as do ticks in `drop_ticks` (loss in
-    flight); UNRECOGNIZED ticks send a byte outside the protocol alphabet.
+    flight); every other tick sends its symbol's own byte (UNRECOGNIZED: `X`).
     The returned steps carry the symbols as seen on the wire. The benchtop
     runs at `run_benchtop`'s default brownout budget.
     """
@@ -177,7 +162,7 @@ def replay_script(
         def send_next() -> bool:
             index, symbol = next(ticks)
             if symbol is not InputSymbol.ABSENT and index not in (drop_ticks or ()):
-                sender.send_raw(PAYLOADS.get(symbol, b"?"))
+                sender.send_raw(symbol.value.encode("ascii"))
             return False
 
         return run_benchtop(receiver, tick_ms, max_ticks=len(script), should_stop=send_next)
@@ -195,5 +180,4 @@ def _received(
     for k in itertools.count() if max_ticks is None else range(max_ticks):
         if should_stop is not None and should_stop():
             return
-        deadline = t0 + (k + 1) * tick_s
-        yield receiver.poll_receive(max(0.0, deadline - time.monotonic()))
+        yield receiver.poll_receive(t0 + (k + 1) * tick_s)

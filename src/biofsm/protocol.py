@@ -123,15 +123,14 @@ class UdpReceiver(_UdpSocket):
         self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
 
-    def poll_receive(self, timeout_s: float) -> InputSymbol:
-        """Collect datagrams for up to `timeout_s`; decode the newest one.
+    def poll_receive(self, deadline: float) -> InputSymbol:
+        """Collect datagrams until `deadline`, a `time.monotonic()` reading; decode the newest one.
 
         Several datagrams landing in one tick collapse to the last: the
         benchtop reacts to the most recent report, not the backlog. Returns
         ABSENT when the window closes with nothing received. The drain after
         the last wait catches a datagram that raced the deadline.
         """
-        deadline = time.monotonic() + timeout_s
         newest: bytes | None = None
         while True:
             remaining = deadline - time.monotonic()

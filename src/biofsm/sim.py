@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence
 from .fsm import (
     ACTUATION,
     DEFAULT_BROWNOUT_TICKS,
-    ActuationCommand,
     BenchState,
     FsmRuntime,
     tick,
@@ -67,10 +66,6 @@ class SimStep:
     input: InputSymbol
     state: BenchState
     tail: str = field(repr=False, compare=False)  # the trace line after its tick number
-
-    @property
-    def command(self) -> ActuationCommand:
-        return ACTUATION[self.state]
 
 
 _STEPS = {

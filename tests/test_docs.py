@@ -35,6 +35,17 @@ def test_readme_duplex_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert trace == serialize_trace(run_simulation([InputSymbol(r["input"]) for r in records]))
 
 
+def test_readme_log_examples_are_lines_the_nodes_write():
+    section = README.read_text(encoding="utf-8").split("## Logs and traces", 1)[1].split("\n## ", 1)[0]
+    tick_block, window_block = re.findall(r"^```\n(.*?)^```$", section, re.S | re.M)
+    silence = serialize_trace(run_simulation([InputSymbol.ABSENT] * 15)).splitlines(keepends=True)
+    assert tick_block == silence[14]
+    golden = (README.parent / "tests" / "golden" / "wearable_seed3.jsonl").read_text(encoding="utf-8").splitlines()
+    windows = window_block.splitlines()
+    assert len(windows) == 2
+    assert [line for line in windows if line not in golden] == []
+
+
 def test_every_tuning_constant_the_readme_names_exists():
     section = README.read_text(encoding="utf-8").split("## How the wearable decides", 1)[1].split("\n## ", 1)[0]
     names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", section))

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import logging
 import math
 from contextlib import closing
@@ -17,6 +18,11 @@ from biofsm.signals import Channel, SignalProfile, synth_physio
 from biofsm.sim import serialize_trace
 
 
+def node_lines(caplog):
+    """The unit-of-work lines `biofsm.nodes` logged (what `-v` prints), in order."""
+    return [r.getMessage() for r in caplog.records if r.name == "biofsm.nodes" and r.getMessage().startswith("{")]
+
+
 def test_failed_sends_are_recorded_as_not_sent(caplog):
     # Port 0 is not a valid destination: every sendto fails with EINVAL.
     caplog.set_level(logging.INFO, logger="biofsm")
@@ -25,7 +31,11 @@ def test_failed_sends_are_recorded_as_not_sent(caplog):
     assert [e.arousal for e in emissions] == ["MILD", "MILD", "MILD"]
     assert all(e.frames_used > 0 for e in emissions)
     assert [e.byte_sent for e in emissions] == [None, None, None]
-    assert sum("send failed" in r.getMessage() for r in caplog.records) == 3
+    # Each window's INFO line is its log line: a class beside a null byte.
+    assert node_lines(caplog) == [json.dumps(e.record()) for e in emissions]
+    failures = [r for r in caplog.records if r.name == "biofsm.protocol"]
+    assert [r.levelno for r in failures] == [logging.WARNING] * 3
+    assert all(r.getMessage().startswith("send to 127.0.0.1:0 failed: ") for r in failures)
 
 
 def test_run_wearable_returns_one_window_decision_per_window():
@@ -36,14 +46,16 @@ def test_run_wearable_returns_one_window_decision_per_window():
     assert [d.window_index for d in decisions] == [0, 1, 2]
 
 
-def test_an_undecided_window_is_a_bare_window_decision(tmp_path):
+def test_an_undecided_window_is_a_bare_window_decision(tmp_path, caplog):
     # 30 uS is above the supported conductance range, so every frame is dropped.
+    caplog.set_level(logging.INFO, logger="biofsm")
     log = tmp_path / "wearable.jsonl"
     samples = synth_physio(SignalProfile(bpm_start=70.0, gsr_start_us=30.0), 20_000, seed=4)
     decisions = run_wearable(samples, endpoint=EndpointConfig(port=0), log_path=log)
     assert decisions == [WindowDecision(0), WindowDecision(1)]
     null = '"bpm_mean": null, "gsr_mean": null, "arousal": null, "byte_sent": null}'
     assert log.read_text() == f'{{"window": 0, "frames_used": 0, {null}\n{{"window": 1, "frames_used": 0, {null}\n'
+    assert "".join(line + "\n" for line in node_lines(caplog)) == log.read_text()
 
 
 def test_node_logs_are_line_buffered(tmp_path):
@@ -71,7 +83,7 @@ def test_node_logs_are_line_buffered(tmp_path):
 
 def test_the_benchtop_log_is_the_trace_of_the_steps_it_returns(tmp_path, monkeypatch, caplog):
     # Garbage, a dropped tick, and silence that browns out and then hears
-    # garbage: the log and the `tick %d` messages both number ticks by position.
+    # garbage: the log file and the INFO lines are the same trace, byte for byte.
     A, X, ABSENT = InputSymbol.VALID_A, InputSymbol.UNRECOGNIZED, InputSymbol.ABSENT
     script = [A, X, InputSymbol.VALID_B, A, InputSymbol.VALID_C] + [ABSENT] * 11 + [X, ABSENT, A]
     log = tmp_path / "benchtop.jsonl"
@@ -81,7 +93,7 @@ def test_the_benchtop_log_is_the_trace_of_the_steps_it_returns(tmp_path, monkeyp
     assert len(steps) == len(script)
     assert {BenchState.INVALID, BenchState.BROWNOUT} <= {step.state for step in steps}
     assert log.read_text() == serialize_trace(steps)
-    assert [r.args[0] for r in caplog.records if r.msg.startswith("tick ")] == list(range(len(script)))
+    assert "".join(line + "\n" for line in node_lines(caplog)) == log.read_text()
 
 
 def session(channel=None, field="value", bad=None):
@@ -178,19 +190,21 @@ class FakeClock:
 
 
 class StubReceiver:
-    """A silent receiver whose poll takes its timeout plus a fixed overshoot."""
+    """A silent receiver whose poll waits until its deadline, then overshoots it by a fixed amount."""
 
     config = EndpointConfig(port=0)
     port = 0
 
     def __init__(self, clock):
         self.clock = clock
-        self.timeouts = []
+        self.deadlines = []
+        self.waits = []
         self.ends = []
 
-    def poll_receive(self, timeout_s):
-        self.timeouts.append(timeout_s)
-        self.clock.now += timeout_s + OVERSHOOT_S
+    def poll_receive(self, deadline):
+        self.deadlines.append(deadline)
+        self.waits.append(max(0.0, deadline - self.clock.now))
+        self.clock.now = max(self.clock.now, deadline) + OVERSHOOT_S
         self.ends.append(self.clock.now)
         return InputSymbol.ABSENT
 
@@ -212,6 +226,10 @@ def run_on_fake_clock(monkeypatch, ticks, pauses=None):
     return t0, steps, receiver
 
 
+def grid_deadlines(t0, ticks):
+    return [t0 + (k + 1) * TICK_S for k in range(ticks)]
+
+
 def grid_end(t0, k):
     return t0 + (k + 1) * TICK_S + OVERSHOOT_S
 
@@ -219,20 +237,21 @@ def grid_end(t0, k):
 def test_tick_deadlines_hold_their_grid(monkeypatch):
     t0, steps, receiver = run_on_fake_clock(monkeypatch, 50)
     assert len(steps) == 50
+    assert receiver.deadlines == pytest.approx(grid_deadlines(t0, 50), abs=1e-9)
     for k, end in enumerate(receiver.ends):
         assert end == pytest.approx(grid_end(t0, k), abs=1e-9)
     # Only tick 0 starts without the previous poll's overshoot to absorb.
     expected = [TICK_S - WORK_S] + [TICK_S - WORK_S - OVERSHOOT_S] * 49
-    assert receiver.timeouts == pytest.approx(expected, abs=1e-9)
+    assert receiver.waits == pytest.approx(expected, abs=1e-9)
 
 
 def test_late_ticks_poll_for_zero_until_back_on_grid(monkeypatch):
     # A 35 ms stall before tick 20's poll leaves ticks 20-22 past their
     # deadlines; tick 23 is the first whose deadline is still ahead.
     t0, _, receiver = run_on_fake_clock(monkeypatch, 50, pauses={20: 0.035})
-    assert all(timeout >= 0.0 for timeout in receiver.timeouts)
-    assert receiver.timeouts[20:23] == [0.0, 0.0, 0.0]
-    assert all(timeout > 0.0 for timeout in receiver.timeouts[23:])
+    assert receiver.deadlines == pytest.approx(grid_deadlines(t0, 50), abs=1e-9)
+    assert receiver.waits[20:23] == [0.0, 0.0, 0.0]
+    assert all(wait > 0.0 for wait in receiver.waits[:20] + receiver.waits[23:])
     for k, end in enumerate(receiver.ends):
         if not 20 <= k < 23:
             assert end == pytest.approx(grid_end(t0, k), abs=1e-9)

@@ -1,4 +1,5 @@
 import select
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,12 +63,14 @@ def test_loopback_delivery():
         assert receiver.port != 0
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
             assert sender.send_raw(encode_class(ArousalClass.HIGH))
-            assert receiver.poll_receive(0.5) is InputSymbol.VALID_C
+            assert receiver.poll_receive(time.monotonic() + 0.5) is InputSymbol.VALID_C
 
 
 def test_poll_returns_absent_on_silence():
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
-        assert receiver.poll_receive(0.05) is InputSymbol.ABSENT
+        deadline = time.monotonic() + 0.05
+        assert receiver.poll_receive(deadline) is InputSymbol.ABSENT
+        assert time.monotonic() >= deadline
 
 
 def test_newest_datagram_wins_within_a_tick():
@@ -75,16 +78,16 @@ def test_newest_datagram_wins_within_a_tick():
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
             for cls in ArousalClass:
                 sender.send_raw(encode_class(cls))
-            assert receiver.poll_receive(0.3) is InputSymbol.VALID_C
+            assert receiver.poll_receive(time.monotonic() + 0.3) is InputSymbol.VALID_C
         # the backlog was drained, nothing left for the next tick
-        assert receiver.poll_receive(0.05) is InputSymbol.ABSENT
+        assert receiver.poll_receive(time.monotonic() + 0.05) is InputSymbol.ABSENT
 
 
 def test_unknown_byte_on_the_wire_decodes_unrecognized():
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
             sender.send_raw(b"D")
-            assert receiver.poll_receive(0.3) is InputSymbol.UNRECOGNIZED
+            assert receiver.poll_receive(time.monotonic() + 0.3) is InputSymbol.UNRECOGNIZED
 
 
 def test_oversized_send_is_dropped_not_raised():
@@ -100,5 +103,5 @@ def test_a_poll_with_no_time_left_still_drains_once(timeout_s):
             # Loopback delivery is not instant; a generous poll proves the
             # datagram is queued without reading it.
             assert select.select([receiver._sock], [], [], 1.0)[0]
-            assert receiver.poll_receive(timeout_s) is InputSymbol.VALID_B
-        assert receiver.poll_receive(0.0) is InputSymbol.ABSENT
+            assert receiver.poll_receive(time.monotonic() + timeout_s) is InputSymbol.VALID_B
+        assert receiver.poll_receive(time.monotonic()) is InputSymbol.ABSENT

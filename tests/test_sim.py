@@ -155,7 +155,6 @@ def test_every_trace_line_equals_its_reference(tick_index):
     for (symbol, state), step in sim._STEPS.items():
         assert (step.input, step.state) == (symbol, state)
         assert sim.serialize_trace([step], tick_index) == reference_line(step, tick_index)
-        assert step.command is ACTUATION[step.state]
 
 
 def test_a_long_run_holds_one_shared_step_per_tick():
@@ -365,7 +364,7 @@ def test_trace_lines_parse_back_as_json():
         record = json.loads(line)
         assert record["tick"] == k
         assert record["state"] == step.state.value
-        assert tuple(record["color"]) == step.command.color
+        assert tuple(record["color"]) == ACTUATION[step.state].color
 
 
 def test_bundled_fixture_shape():
@@ -448,9 +447,7 @@ def test_wire_replay_matches_the_virtual_clock():
     script = [A, B, C, X, A] + [ABSENT] * 10 + [B]
     wire = replay_script(script, tick_ms=40.0)
     sim = run_simulation(script)
-    assert [(s.input, s.state, s.command) for s in wire] == [
-        (s.input, s.state, s.command) for s in sim
-    ]
+    assert [(s.input, s.state) for s in wire] == [(s.input, s.state) for s in sim]
     assert serialize_trace(wire) == serialize_trace(sim)
 
 
