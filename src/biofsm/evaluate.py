@@ -51,26 +51,28 @@ def load_table3(path: str | Path | None = None) -> list[TraceRecord]:
 
 
 def _parse_table3(text: str) -> list[TraceRecord]:
-    """Parse the study fixture CSV, naming the offending line of a bad row."""
+    """Parse the study fixture CSV, naming the line a bad record ends on."""
     reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header != ["clip", "interval", "self_report", "predicted"]:
-        raise ValueError("fixture header must be clip,interval,self_report,predicted")
     records: list[TraceRecord] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields, got {len(row)}")
-        try:
-            clip = int(row[0])
-            interval = int(row[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer clip or interval") from None
-        for name in (row[2], row[3]):
-            if name not in ArousalClass.__members__:
-                raise ValueError(f"line {lineno}: unknown class {name!r}")
-        records.append(TraceRecord(clip, interval, ArousalClass(row[2]), ArousalClass(row[3])))
+    try:
+        if next(reader, None) != ["clip", "interval", "self_report", "predicted"]:
+            raise ValueError("fixture header must be clip,interval,self_report,predicted")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
+            try:
+                clip = int(row[0])
+                interval = int(row[1])
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: non-integer clip or interval") from None
+            for name in (row[2], row[3]):
+                if name not in ArousalClass.__members__:
+                    raise ValueError(f"line {reader.line_num}: unknown class {name!r}")
+            records.append(TraceRecord(clip, interval, ArousalClass(row[2]), ArousalClass(row[3])))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     _by_clip(records)
     return records
 

@@ -223,41 +223,41 @@ _CHANNEL_NAMES = {c: c.value for c in Channel}  # `Channel.value` is a Python-le
 def load_trace(path: str | Path) -> list[PhysioSample]:
     """Read a trace CSV (`timestamp_ms,channel,value`) into sample order.
 
-    Rejects non-finite fields and enforces per-channel strictly increasing
-    timestamps so replays behave like live capture.
+    Rejects non-finite fields and per-channel timestamps that do not strictly
+    increase, as live capture would, naming the line a bad record ends on.
     """
     samples: list[PhysioSample] = []
-    last_seen: dict[Channel, float] = {}
+    append, channel_of, inf, last_seen = samples.append, _CHANNELS.get, math.inf, dict.fromkeys(Channel, -1.0)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != TRACE_HEADER:
+            if next(reader, None) != TRACE_HEADER:
                 raise ValueError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-                channel = _CHANNELS.get(row[1])
-                if channel is None:
-                    raise ValueError(f"{path}: line {lineno}: unknown channel {row[1]!r}")
+            for row in reader:
                 try:
-                    timestamp = float(row[0])
-                    value = float(row[2])
+                    t, name, v = row
                 except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-                if not (math.isfinite(timestamp) and math.isfinite(value)):
-                    raise ValueError(f"{path}: line {lineno}: non-finite field")
-                if timestamp < 0:
-                    raise SampleOrderError(f"{path}: line {lineno}: negative timestamp")
-                prev = last_seen.get(channel)
-                if prev is not None and timestamp <= prev:
-                    raise SampleOrderError(
-                        f"{path}: line {lineno}: {channel.value} timestamp {timestamp} not after {prev}"
-                    )
+                    if not row:
+                        continue
+                    raise ValueError(f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}") from None
+                channel = channel_of(name)
+                if channel is None:
+                    raise ValueError(f"{path}: line {reader.line_num}: unknown channel {name!r}")
+                try:
+                    timestamp, value = float(t), float(v)
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num}: non-numeric field") from None
+                if not (0.0 <= timestamp < inf and -inf < value < inf):
+                    if math.isfinite(timestamp) and math.isfinite(value):
+                        raise SampleOrderError(f"{path}: line {reader.line_num}: negative timestamp")
+                    raise ValueError(f"{path}: line {reader.line_num}: non-finite field")
+                if timestamp <= last_seen[channel]:
+                    raise SampleOrderError(f"{path}: line {reader.line_num}: "
+                                           f"{name} timestamp {timestamp} not after {last_seen[channel]}")
                 last_seen[channel] = timestamp
-                samples.append(PhysioSample(timestamp, channel, value))
+                append(PhysioSample(timestamp, channel, value))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read trace {path}: {exc}") from None
     return samples

@@ -325,8 +325,16 @@ def test_a_missing_input_file_exits_2(argv, kind, tmp_path, capsys):
         (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n\none,1,MILD,MILD\n", "line 3: non-integer clip or interval"),
         (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n", "no records to evaluate"),
         (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n1,1,MILD,MILD\n", "clip 1 has 1 intervals, expected 16"),
+        # a quoted field spans lines 2-3, so the next record is on line 4
+        (["evaluate", "--fixture"], 'clip,interval,self_report,predicted\n"1\n",1,MILD,MILD\none,2,MILD,MILD\n',
+         "line 4: non-integer clip or interval"),
+        (["wearable", "--trace"], "timestamp_ms,channel,value\n0,PPG," + "1" * 131_073 + "\n",
+         "line 2: field larger than field limit (131072)"),
+        (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n1,1,MILD," + "M" * 131_073 + "\n",
+         "line 2: field larger than field limit (131072)"),
     ],
-    ids=["simulate", "wearable", "benchtop", "evaluate-fields", "evaluate-integer", "evaluate-empty", "evaluate-short-clip"],
+    ids=["simulate", "wearable", "benchtop", "evaluate-fields", "evaluate-integer", "evaluate-empty", "evaluate-short-clip",
+         "evaluate-after-a-multi-line-record", "wearable-oversized-field", "evaluate-oversized-field"],
 )
 def test_a_malformed_input_file_is_named(argv, content, message, tmp_path, capsys):
     path = tmp_path / "input"

@@ -536,3 +536,117 @@ def test_trace_skips_blank_lines(tmp_path):
         PhysioSample(20.0, Channel.PPG, 2.5),
         PhysioSample(10.0, Channel.GSR, 4.0),
     ]
+
+
+def test_a_row_error_names_the_line_its_record_ends_on(tmp_path):
+    # The quoted value spans lines 2-3 and line 4 is blank, so the bad record is on line 5.
+    path = tmp_path / "multi.csv"
+    path.write_text('timestamp_ms,channel,value\n0.0,PPG,"1\n"\n\n40.0,PPG,x\n')
+    with pytest.raises(ValueError) as excinfo:
+        load_trace(path)
+    assert str(excinfo.value) == f"{path}: line 5: non-numeric field"
+
+
+def reference_load_trace(path):
+    """`load_trace`'s row loop as it read before each property was tested
+    once per row: a blank-row test, a field count, a channel lookup, two
+    `math.isfinite` calls, a sign test and `last_seen.get` with a `None`
+    test. Only its line numbers (`reader.line_num`, the line a record ends
+    on) and its `csv.Error` report follow the loader; kept as the reference."""
+    samples = []
+    last_seen = {}
+    channels = {c.value: c for c in Channel}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != TRACE_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(TRACE_HEADER)}")
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{where}: expected 3 fields, got {len(row)}")
+                channel = channels.get(row[1])
+                if channel is None:
+                    raise ValueError(f"{where}: unknown channel {row[1]!r}")
+                try:
+                    timestamp = float(row[0])
+                    value = float(row[2])
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric field") from None
+                if not (math.isfinite(timestamp) and math.isfinite(value)):
+                    raise ValueError(f"{where}: non-finite field")
+                if timestamp < 0:
+                    raise SampleOrderError(f"{where}: negative timestamp")
+                prev = last_seen.get(channel)
+                if prev is not None and timestamp <= prev:
+                    raise SampleOrderError(f"{where}: {channel.value} timestamp {timestamp} not after {prev}")
+                last_seen[channel] = timestamp
+                samples.append(PhysioSample(timestamp, channel, value))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return samples
+
+
+# Each defect rewrites one row's fields; "fields" goes last, since it changes their number.
+ROW_DEFECTS = ["channel", "numeric", "non-finite", "negative", "order", "oversized", "fields"]
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file's text: valid rows with blank lines between them, fields
+    quoted or not (a quoted number may end in a line break, so its record
+    spans two lines), and at most one row with each kind of defect."""
+    rows, first = [], {}
+    for _ in range(draw(st.integers(0, 10))):
+        name = draw(st.sampled_from(["PPG", "GSR"]))
+        timestamp = first[name] = first.get(name, -1.0) + draw(st.floats(1.0, 1e3))
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+        rows.append([repr(timestamp), name, repr(value)])
+    for kind in ROW_DEFECTS:
+        if not rows or draw(st.integers(0, 2)):  # a third of the files have each defect
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if kind == "channel":
+            row[1] = draw(st.sampled_from(["EKG", "ppg", "PPG ", "", "Channel.GSR"]))
+        elif kind == "numeric":
+            row[draw(st.sampled_from([0, 2]))] = draw(st.sampled_from(["x", "", "1.0.0", "0x10", "1,0"]))
+        elif kind == "non-finite":
+            row[draw(st.sampled_from([0, 2]))] = draw(st.sampled_from(["nan", "-inf", "inf", "Infinity", "-nan"]))
+        elif kind == "negative":
+            row[0] = draw(st.sampled_from(["-1", "-1e-300", "-0.0", "-5e3"]))
+        elif kind == "order":
+            earlier = [r[0] for r in rows[:i] if r[1] == row[1]]
+            if earlier:
+                row[0] = earlier[-1] if draw(st.booleans()) else draw(st.sampled_from(earlier))
+        elif kind == "oversized":
+            row[2] = "1" * 131_073
+        else:
+            rows[i] = draw(st.sampled_from([row[:1], row[:2], row + ["0"], row + row]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(TRACE_HEADER)]
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 2)))
+        fields = []
+        for k, field in enumerate(row):
+            style = draw(st.sampled_from(["plain", "quoted", "multi-line"] if k != 1 else ["plain", "quoted"]))
+            fields.append(field if style == "plain" else f'"{field}{newline if style == "multi-line" else ""}"')
+        lines.append(",".join(fields))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def load_outcome(load, path):
+    try:
+        return sample_bits(load(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_texts())
+def test_the_loader_agrees_with_the_reference_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
