@@ -11,13 +11,16 @@ physiological range are dropped rather than clamped.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 from .signals import BeatDetector, Channel, PhysioSample, SampleOrderError
 
+log = logging.getLogger(__name__)
 _GSR = Channel.GSR  # bound once for the per-sample loop, as in signals
 
 DEFAULT_WINDOW_MS = 15000.0
@@ -210,3 +213,29 @@ class FeatureExtractor:
         if gap is None or len(self.gsr_window) < GSR_WINDOW_SIZE:
             return None
         return FeatureFrame(beat.beat_index, beat.timestamp_ms, 60000.0 / gap, sum(self.gsr_window) / GSR_WINDOW_SIZE)
+
+
+def iter_decisions(samples: Iterable[PhysioSample], ladder: LadderConfig | None = None) -> Iterator[WindowDecision]:
+    """Classify each closed window in order, reading samples only up to the frame that closes it.
+
+    Ctrl-C while samples are read ends the stream, and the partial window is still classified.
+    Skipped non-finite samples are counted in one log line at the end, even if closed early.
+    """
+    extractor, accumulator = FeatureExtractor(), WindowAccumulator(ladder)
+
+    def closed_windows() -> Iterator[ClosedWindow]:
+        try:
+            for sample in samples:
+                frame = extractor.add(sample)
+                if frame is not None:
+                    yield from accumulator.add(frame)
+        except KeyboardInterrupt:
+            log.info("wearable interrupted, stopping")
+        yield from accumulator.flush()
+
+    try:
+        for closed in closed_windows():
+            yield classify_window(closed.frames, ladder, closed.window_index) or WindowDecision(closed.window_index)
+    finally:
+        if extractor.non_finite:
+            log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)

@@ -51,8 +51,8 @@ def load_table3(path: str | Path | None = None) -> list[TraceRecord]:
 
 
 def _parse_table3(text: str) -> list[TraceRecord]:
-    """Parse the study fixture CSV, naming the line a bad record ends on."""
-    reader = csv.reader(text.splitlines())
+    """Parse the study fixture CSV, read with universal newlines, naming the line a bad record ends on."""
+    reader = csv.reader(text.split("\n"))
     records: list[TraceRecord] = []
     try:
         if next(reader, None) != ["clip", "interval", "self_report", "predicted"]:

@@ -14,11 +14,11 @@ import json
 import logging
 import math
 import time
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager, closing, nullcontext, suppress
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .classifier import ClosedWindow, FeatureExtractor, LadderConfig, WindowAccumulator, WindowDecision, classify_window
+from .classifier import LadderConfig, WindowDecision, iter_decisions
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
 from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
 from .signals import PhysioSample
@@ -43,45 +43,25 @@ def iter_wearable(
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
 ) -> Iterator[WindowDecision]:
-    """Consume a sample stream, sending one classification byte per decided window.
+    """For each window of `iter_decisions(samples, ladder)`: send its byte if decided, log it, yield it.
 
-    Yields each closed window's `WindowDecision` once its byte is sent and its
-    `record()` logged, reading samples only up to the frame that closes it.
-    An undecided window sends nothing; a failed send is recorded with no byte
-    sent, beside the sender's warning. Samples with a non-finite value or
-    timestamp are skipped and counted in one log line at the end, also when
-    the caller closes the generator early. Ctrl-C while samples are read ends
-    the stream: the partial window is flushed, classified and logged.
+    A failed send leaves `byte_sent` None, beside the sender's warning. Ctrl-C during a send or
+    log write stops the wearable after that window, which is yielded exactly when it was logged.
     """
-    extractor = FeatureExtractor()
-    accumulator = WindowAccumulator(ladder)
-    try:
-        with _open_log(log_path) as log_file, UdpSender(endpoint) as sender:
-            def emit(closed_windows: list[ClosedWindow]) -> Iterator[WindowDecision]:
-                for closed in closed_windows:
-                    decision = _emit_window(closed, sender)
-                    # Rendered and logged first: Ctrl-C during either leaves the window out of both.
-                    line = json.dumps(decision.record())
-                    log.info("%s", line)
-                    try:
-                        if log_file is not None:
-                            log_file.write(line + "\n")
-                    except KeyboardInterrupt:  # raised as the write returns, so the line is logged: yield it too
-                        yield decision
-                        raise
-                    yield decision
-
-            try:
-                for sample in samples:
-                    frame = extractor.add(sample)
-                    if frame is not None:
-                        yield from emit(accumulator.add(frame))
-            except KeyboardInterrupt:
-                log.info("wearable interrupted, stopping")
-            yield from emit(accumulator.flush())
-    finally:
-        if extractor.non_finite:
-            log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)
+    decisions = iter_decisions(samples, ladder)
+    with _open_log(log_path) as log_file, UdpSender(endpoint) as sender, closing(decisions):
+        with suppress(KeyboardInterrupt):  # in a send, the INFO line or a decision: stop before this window
+            for decision in decisions:
+                if decision.arousal is not None and sender.send_raw(payload := encode_class(decision.arousal)):
+                    decision.byte_sent = payload.decode("ascii")
+                line = json.dumps(decision.record())
+                log.info("%s", line)
+                try:
+                    if log_file is not None:
+                        log_file.write(line + "\n")
+                except KeyboardInterrupt:  # raised as the write returns, so the line is logged: yield it, then stop
+                    decisions.close()
+                yield decision
 
 
 def run_wearable(
@@ -92,15 +72,6 @@ def run_wearable(
 ) -> list[WindowDecision]:
     """Run `iter_wearable` to the end of its stream; one `WindowDecision` per closed window."""
     return list(iter_wearable(samples, ladder, endpoint, log_path))
-
-
-def _emit_window(closed: ClosedWindow, sender: UdpSender) -> WindowDecision:
-    decision = classify_window(closed.frames, window_index=closed.window_index)
-    if decision is None:
-        return WindowDecision(closed.window_index)
-    payload = encode_class(decision.arousal)
-    decision.byte_sent = payload.decode("ascii") if sender.send_raw(payload) else None
-    return decision
 
 
 def run_benchtop(

@@ -21,6 +21,7 @@ from biofsm.classifier import (
     WindowAccumulator,
     WindowDecision,
     classify_window,
+    iter_decisions,
 )
 from biofsm.signals import MIN_THRESHOLD, BeatDetector, Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
 
@@ -392,3 +393,31 @@ def test_any_sample_stream_is_rejected_with_its_message_or_classified(edits):
         if decision is not None:
             assert 1 <= decision.frames_used <= len(window.frames)
             assert decision.arousal in ArousalClass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(SESSION) - 1), STREAM_EDITS), max_size=6))
+def test_iter_decisions_is_its_parts_composed_by_hand(edits):
+    stream = edit_session(edits)
+    extractor, accumulator = FeatureExtractor(), WindowAccumulator(STREAM_WINDOW)
+    windows, error = [], None
+    try:
+        for sample in stream:
+            feature = extractor.add(sample)
+            if feature is not None:
+                windows += accumulator.add(feature)
+        windows += accumulator.flush()
+    except SampleOrderError as exc:
+        error = str(exc)
+    expected = []
+    for window in windows:
+        decision = classify_window(window.frames, STREAM_WINDOW, window.window_index)
+        expected.append(WindowDecision(window.window_index) if decision is None else decision)
+
+    decisions, raised = [], None
+    try:
+        for decision in iter_decisions(stream, STREAM_WINDOW):
+            decisions.append(decision)
+    except SampleOrderError as exc:
+        raised = str(exc)
+    assert (decisions, raised) == (expected, error)

@@ -332,9 +332,13 @@ def test_a_missing_input_file_exits_2(argv, kind, tmp_path, capsys):
          "line 2: field larger than field limit (131072)"),
         (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n1,1,MILD," + "M" * 131_073 + "\n",
          "line 2: field larger than field limit (131072)"),
+        # only a line end ends a record: a form feed is part of its field
+        (["evaluate", "--fixture"], "clip,interval,self_report,predicted\n1,1,MI\fLD,MILD\n",
+         "line 2: unknown class 'MI\\x0cLD'"),
     ],
     ids=["simulate", "wearable", "benchtop", "evaluate-fields", "evaluate-integer", "evaluate-empty", "evaluate-short-clip",
-         "evaluate-after-a-multi-line-record", "wearable-oversized-field", "evaluate-oversized-field"],
+         "evaluate-after-a-multi-line-record", "wearable-oversized-field", "evaluate-oversized-field",
+         "evaluate-form-feed-in-a-field"],
 )
 def test_a_malformed_input_file_is_named(argv, content, message, tmp_path, capsys):
     path = tmp_path / "input"

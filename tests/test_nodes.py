@@ -3,7 +3,7 @@ import itertools
 import json
 import logging
 import math
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -147,6 +147,61 @@ def test_closing_iter_wearable_early_logs_the_non_finite_count_and_closes_its_so
     assert warnings == ["skipped 1 samples with a non-finite value or timestamp"]
     assert [s._sock.fileno() for s in senders] == [-1]
     assert log.read_text().count("\n") == 1
+
+
+def test_ctrl_c_while_samples_are_read_ends_the_stream_and_flushes_the_partial_window(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="biofsm")
+    log = tmp_path / "wearable.jsonl"
+
+    def samples():
+        for sample in session():
+            if sample.timestamp_ms >= 20_000:
+                raise KeyboardInterrupt
+            yield sample
+
+    decisions = run_wearable(samples(), endpoint=EndpointConfig(port=0), log_path=log)
+    assert [(d.window_index, d.frames_used) for d in decisions] == [(0, 17), (1, 6)]
+    assert log.read_text() == "".join(json.dumps(d.record()) + "\n" for d in decisions)
+    assert [r.getMessage() for r in caplog.records if "interrupted" in r.getMessage()] == ["wearable interrupted, stopping"]
+
+
+def test_ctrl_c_during_a_send_stops_the_wearable_before_that_window(tmp_path, monkeypatch, caplog):
+    # Window 1's send is cut short: it is neither logged nor returned, and
+    # no partial window follows it, so the indices have no gap.
+    caplog.set_level(logging.INFO, logger="biofsm")
+    sends = itertools.count(1)
+
+    class InterruptedSender(UdpSender):
+        def send_raw(self, payload):
+            if next(sends) == 2:
+                raise KeyboardInterrupt
+            return super().send_raw(payload)
+
+    monkeypatch.setattr(nodes, "UdpSender", InterruptedSender)
+    log = tmp_path / "wearable.jsonl"
+    decisions = run_wearable(session(), endpoint=EndpointConfig(port=0), log_path=log)
+    assert [d.window_index for d in decisions] == [0]
+    assert log.read_text() == json.dumps(decisions[0].record()) + "\n"
+    assert node_lines(caplog) == [json.dumps(decisions[0].record())]
+
+
+def test_ctrl_c_as_a_log_write_returns_stops_the_wearable_after_that_window(monkeypatch, caplog):
+    # The interrupt lands once window 1's line is written: window 1 is
+    # logged, so it is returned, and the wearable stops with no flush.
+    caplog.set_level(logging.INFO, logger="biofsm")
+    written = []
+
+    class InterruptedLog:
+        def write(self, text):
+            written.append(text)
+            if len(written) == 2:
+                raise KeyboardInterrupt
+
+    monkeypatch.setattr(nodes, "_open_log", lambda path: nullcontext(InterruptedLog()))
+    decisions = run_wearable(session(), endpoint=EndpointConfig(port=0), log_path="wearable.jsonl")
+    assert [d.window_index for d in decisions] == [0, 1]
+    assert written == [json.dumps(d.record()) + "\n" for d in decisions]
+    assert node_lines(caplog) == [json.dumps(d.record()) for d in decisions]
 
 
 @pytest.mark.parametrize(

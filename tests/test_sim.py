@@ -32,6 +32,11 @@ def test_parse_script_tokens_comments_blanks():
     assert parse_script(text) == [A, B, C, X, ABSENT]
 
 
+def test_a_form_feed_ends_a_script_line():
+    # Lines split as str.splitlines splits them, as README says.
+    assert parse_script("A\fB\n") == [A, B]
+
+
 def test_parse_script_reports_the_offending_line():
     with pytest.raises(ScriptError, match="line 3"):
         parse_script("A\nB\nQ\n")
