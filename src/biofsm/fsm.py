@@ -10,7 +10,8 @@ Transitions are pure functions of (state, silence counter, input), and
 `tick` reads the counter s only as `min(s+1, b)` and through `>= b`. So
 `verify_determinism` proves a budget b, however large, by ticking each state
 at four counter values: 0, b-1, b, and 1 standing for every 1 <= s <= b-2.
-Each `tick` builds and validates a fresh successor configuration.
+Each `tick` builds a fresh successor without re-validating it: the proof
+checks every successor's counter itself, so it is in range for every b.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ DEFAULT_BROWNOUT_TICKS = 10
 
 
 class FsmRuntime(namedtuple("FsmRuntime", "state silence_ticks brownout_ticks")):
-    """Complete machine configuration between ticks; every way of building one validates it."""
+    """Complete machine configuration between ticks; validated whenever built, except as `tick`'s proved successor."""
 
     __slots__ = ()
 
@@ -102,7 +103,7 @@ def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, Actuatio
         state = runtime.state if runtime.state is _BROWNOUT else _INVALID
     else:
         state = _TARGETS[symbol]
-    return FsmRuntime(state, silence, runtime.brownout_ticks), ACTUATION[state]
+    return tuple.__new__(FsmRuntime, (state, silence, runtime.brownout_ticks)), ACTUATION[state]
 
 
 @dataclass
@@ -147,13 +148,13 @@ def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> Determin
     s = b-1; and "full", s = b. Each state is built once at each class's
     representative, sorted({0, 1, b-1, b}) (every counter value when
     b <= 2), and ticked once with each input: at most 100 ticks, whatever b
-    is. Each successor must be a valid configuration of the same machine
-    (construction rejects a silence counter outside 0..brownout_ticks)
-    carrying its state's shared actuation. The successor table is keyed by
-    (state, input); an ABSENT cell may legally hold several successors
-    because the silence counter, not the state, picks between staying put
-    and browning out. `configurations_checked` counts the 25·(b+1) concrete
-    (state, silence, input) triples that the classes cover.
+    is. Each successor must be a configuration of the same machine with a
+    silence counter within 0..b (checked here, because `tick` builds it
+    unvalidated) carrying its state's shared actuation. The successor table
+    is keyed by (state, input); an ABSENT cell may legally hold several
+    successors because the silence counter, not the state, picks between
+    staying put and browning out. `configurations_checked` counts the
+    25·(b+1) concrete (state, silence, input) triples that the classes cover.
     """
     FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
     successors: dict[tuple[BenchState, InputSymbol], set[BenchState]] = {
@@ -167,7 +168,8 @@ def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> Determin
             runtime = FsmRuntime(state, silence, brownout_ticks)
             for symbol, cell in cells:
                 nxt, command = tick(runtime, symbol)
-                if nxt.brownout_ticks != brownout_ticks or command is not ACTUATION[nxt.state]:
+                b, s = nxt.brownout_ticks, nxt.silence_ticks
+                if b != brownout_ticks or not 0 <= s <= b or command is not ACTUATION[nxt.state]:
                     conflicts.append(f"({state.name}, silence={silence}, {symbol.name}) gave {nxt}, {command}")
                 cell.add(nxt.state)
         for symbol, cell in cells:

@@ -1,10 +1,10 @@
 """One-byte UDP wire protocol between the wearable and benchtop nodes.
 
 The wearable sends a single ASCII byte per decision: 'A', 'B' or 'C'. The
-benchtop decodes whatever arrives into an input symbol; decoding is total,
-so any unexpected payload (wrong byte, wrong length, empty datagram) maps to
-UNRECOGNIZED rather than raising. ABSENT is never produced by decoding:
-`UdpReceiver.poll_receive` returns it when a tick closes with no datagram.
+benchtop turns each tick's datagrams into one input symbol with `collapse`:
+the newest wins, so a tick shows the latest report rather than the backlog,
+and a tick with none is ABSENT. Decoding is total: any unexpected payload
+(wrong byte, wrong length, empty datagram) is UNRECOGNIZED rather than raising.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import socket
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 from .classifier import ArousalClass
 
@@ -52,9 +52,12 @@ def encode_class(arousal: ArousalClass) -> bytes:
     return PAYLOADS[CLASS_SYMBOLS[arousal]]
 
 
-def decode_payload(payload: bytes) -> InputSymbol:
-    """Decode a datagram payload. Total: unknown payloads are UNRECOGNIZED."""
-    return _DECODED.get(payload, InputSymbol.UNRECOGNIZED)
+def collapse(payloads: Iterable[bytes]) -> InputSymbol:
+    """The input of a tick whose datagrams, oldest first, are `payloads`: the newest decoded, or ABSENT if none."""
+    newest = None
+    for newest in payloads:
+        pass
+    return InputSymbol.ABSENT if newest is None else _DECODED.get(newest, InputSymbol.UNRECOGNIZED)
 
 
 @dataclass
@@ -124,24 +127,18 @@ class UdpReceiver(_UdpSocket):
         self.port = self._sock.getsockname()[1]
 
     def poll_receive(self, deadline: float) -> InputSymbol:
-        """Collect datagrams until `deadline`, a `time.monotonic()` reading; decode the newest one.
+        """The input of the tick that ends at `deadline`, a `time.monotonic()` reading: `collapse` of its datagrams."""
+        return collapse(self._arrivals(deadline))
 
-        Several datagrams landing in one tick collapse to the last: the
-        benchtop reacts to the most recent report, not the backlog. Returns
-        ABSENT when the window closes with nothing received. The drain after
-        the last wait catches a datagram that raced the deadline.
-        """
-        newest: bytes | None = None
+    def _arrivals(self, deadline: float) -> Iterator[bytes]:
+        """Each datagram received until `deadline`; the drain after the last wait catches one that raced it."""
         while True:
             remaining = deadline - time.monotonic()
             readable = remaining > 0 and select.select([self._sock], [], [], remaining)[0]
-            newest = self._drain(newest)
+            while True:
+                try:
+                    yield self._sock.recvfrom(4096)[0]
+                except BlockingIOError:
+                    break
             if not readable:
-                return InputSymbol.ABSENT if newest is None else decode_payload(newest)
-
-    def _drain(self, newest: bytes | None) -> bytes | None:
-        while True:
-            try:
-                newest, _ = self._sock.recvfrom(4096)
-            except BlockingIOError:
-                return newest
+                return

@@ -211,6 +211,26 @@ def test_enumeration_rejects_a_mutant_that_lets_silence_pick_a_valid_target(monk
         assert "HIGH/NORMAL" in out and out.endswith(": NON-DETERMINISTIC\n")
 
 
+def test_the_proof_itself_rejects_a_silence_counter_past_the_budget(monkeypatch, capsys):
+    def uncapped(runtime, symbol):
+        # forgets the cap on silence and, as `tick` does, builds its successor unvalidated
+        if symbol is not InputSymbol.ABSENT:
+            return tick(runtime, symbol)
+        silence = runtime.silence_ticks + 1
+        state = BenchState.BROWNOUT if silence >= runtime.brownout_ticks else runtime.state
+        return tuple.__new__(FsmRuntime, (state, silence, runtime.brownout_ticks)), ACTUATION[state]
+
+    monkeypatch.setattr(fsm, "tick", uncapped)
+    for brownout_ticks in (1, 10, 10**9):
+        conflicts = verify_determinism(brownout_ticks).conflicts
+        assert [c.split(" gave ")[0] for c in conflicts] == [
+            f"({state.name}, silence={brownout_ticks}, ABSENT)" for state in BenchState
+        ]
+        assert all(f"silence_ticks={brownout_ticks + 1}," in c for c in conflicts)
+        assert main(["simulate", "--transitions", "--brownout-ticks", str(brownout_ticks)]) == 1
+        assert capsys.readouterr().out.endswith(": NON-DETERMINISTIC\n")
+
+
 GOLDEN_ROWS = (Path(__file__).resolve().parent / "golden" / "transitions.txt").read_text().splitlines()[2:7]
 
 

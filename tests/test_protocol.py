@@ -1,3 +1,4 @@
+import itertools
 import select
 import time
 
@@ -11,7 +12,7 @@ from biofsm.protocol import (
     InputSymbol,
     UdpReceiver,
     UdpSender,
-    decode_payload,
+    collapse,
     encode_class,
 )
 
@@ -25,9 +26,9 @@ def test_encode_one_byte_per_class():
 
 
 def test_decode_known_bytes():
-    assert decode_payload(b"A") is InputSymbol.VALID_A
-    assert decode_payload(b"B") is InputSymbol.VALID_B
-    assert decode_payload(b"C") is InputSymbol.VALID_C
+    assert collapse([b"A"]) is InputSymbol.VALID_A
+    assert collapse([b"B"]) is InputSymbol.VALID_B
+    assert collapse([b"C"]) is InputSymbol.VALID_C
 
 
 @pytest.mark.parametrize(
@@ -35,19 +36,46 @@ def test_decode_known_bytes():
     [b"D", b"E", b"a", b"\x00", b"", b"AA", b"AB", b"hello", b"\xff\xfe"],
 )
 def test_decode_everything_else_is_unrecognized(payload):
-    assert decode_payload(payload) is InputSymbol.UNRECOGNIZED
+    assert collapse([payload]) is InputSymbol.UNRECOGNIZED
 
 
 def test_decode_round_trip():
     for cls in ArousalClass:
-        assert decode_payload(encode_class(cls)) is CLASS_SYMBOLS[cls]
+        assert collapse([encode_class(cls)]) is CLASS_SYMBOLS[cls]
 
 
 @given(st.binary(max_size=64))
 def test_decode_is_total_and_never_absent(payload):
-    symbol = decode_payload(payload)
+    symbol = collapse([payload])
     assert isinstance(symbol, InputSymbol)
     assert symbol is not InputSymbol.ABSENT
+
+
+REFERENCE = {b"A": InputSymbol.VALID_A, b"B": InputSymbol.VALID_B, b"C": InputSymbol.VALID_C}
+
+
+def reference_collapse(payloads):
+    """ABSENT for a tick with no datagram, otherwise the symbol of its last one."""
+    if not payloads:
+        return InputSymbol.ABSENT
+    return REFERENCE.get(payloads[-1], InputSymbol.UNRECOGNIZED)
+
+
+def test_collapse_matches_the_reference_on_every_short_tick():
+    alphabet = [b"A", b"B", b"C", b"D", b""]
+    ticks = [list(t) for n in range(4) for t in itertools.product(alphabet, repeat=n)]
+    assert len(ticks) == 156
+    assert [t for t in ticks if collapse(t) is not reference_collapse(t)] == []
+
+
+@given(st.lists(st.one_of(st.sampled_from(list(REFERENCE)), st.binary(max_size=8))))
+def test_collapse_is_the_newest_payload_decoded(payloads):
+    assert collapse(payloads) is reference_collapse(payloads)
+
+
+def test_collapse_reads_a_one_shot_iterator_as_it_reads_a_list():
+    payloads = [b"A", b"D", b"B"]
+    assert collapse(p for p in payloads) is collapse(payloads) is InputSymbol.VALID_B
 
 
 def test_port_bounds():
@@ -80,6 +108,23 @@ def test_newest_datagram_wins_within_a_tick():
                 sender.send_raw(encode_class(cls))
             assert receiver.poll_receive(time.monotonic() + 0.3) is InputSymbol.VALID_C
         # the backlog was drained, nothing left for the next tick
+        assert receiver.poll_receive(time.monotonic() + 0.05) is InputSymbol.ABSENT
+
+
+@pytest.mark.parametrize(
+    "payloads, shown",
+    [
+        ([b"A", b"D"], InputSymbol.UNRECOGNIZED),  # a stray byte late in a tick hides its class byte
+        ([b"D", b"A"], InputSymbol.VALID_A),
+        ([b"A", b"A"], InputSymbol.VALID_A),  # a duplicate is harmless
+    ],
+)
+def test_newest_datagram_wins_over_garbage_and_duplicates(payloads, shown):
+    with UdpReceiver(EndpointConfig(port=0)) as receiver:
+        with UdpSender(EndpointConfig(port=receiver.port)) as sender:
+            for payload in payloads:
+                sender.send_raw(payload)
+            assert receiver.poll_receive(time.monotonic() + 0.3) is shown
         assert receiver.poll_receive(time.monotonic() + 0.05) is InputSymbol.ABSENT
 
 
