@@ -10,8 +10,8 @@ Transitions are pure functions of (state, silence counter, input), and
 `tick` reads the counter s only as `min(s+1, b)` and through `>= b`. So
 `verify_determinism` proves a budget b, however large, by ticking each state
 at four counter values: 0, b-1, b, and 1 standing for every 1 <= s <= b-2.
-Each `tick` builds a fresh successor without re-validating it: the proof
-checks every successor's counter itself, so it is in range for every b.
+Each `tick` builds a fresh successor without re-validating it, because
+`verify_determinism` checks each successor's counter itself, for every b.
 """
 
 from __future__ import annotations

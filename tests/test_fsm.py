@@ -458,8 +458,8 @@ def test_every_way_of_building_a_runtime_validates_it(fields, message):
         lambda: valid._replace(silence_ticks=silence, brownout_ticks=budget),
         lambda: FsmRuntime._make(fields),
     ]
-    # tuple.__new__ is the one way round the constructor; copying or
-    # unpickling such a forgery must still reject it.
+    # tuple.__new__ is the one way round the constructor (`tick` builds its
+    # proved successors so); copying or unpickling a forgery must still reject it.
     forged = tuple.__new__(FsmRuntime, fields)
     builds += [lambda trip=trip: trip(forged) for trip in ROUND_TRIPS]
     for build in builds:
