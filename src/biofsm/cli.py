@@ -191,6 +191,8 @@ def _cmd_wearable(args: argparse.Namespace) -> int:
     log_path = resolve_log_path(config.log, "wearable")
     samples = _wearable_samples(config)
     if not args.duplex:
+        if config.port == 0:
+            raise ConfigError("port 0 is not a send destination; only --duplex binds an ephemeral port")
         emissions = run_wearable(samples, ladder, endpoint, log_path)
     else:
         emissions = []

@@ -150,7 +150,8 @@ def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> Determin
     b <= 2), and ticked once with each input: at most 100 ticks, whatever b
     is. Each successor must be a configuration of the same machine with a
     silence counter within 0..b (checked here, because `tick` builds it
-    unvalidated) carrying its state's shared actuation. The successor table
+    unvalidated) carrying its state's shared actuation; a `tick` that
+    raises ValueError instead is a conflict too. The successor table
     is keyed by (state, input); an ABSENT cell may legally hold several
     successors because the silence counter, not the state, picks between
     staying put and browning out. `configurations_checked` counts the
@@ -167,7 +168,11 @@ def verify_determinism(brownout_ticks: int = DEFAULT_BROWNOUT_TICKS) -> Determin
         for silence in silences:
             runtime = FsmRuntime(state, silence, brownout_ticks)
             for symbol, cell in cells:
-                nxt, command = tick(runtime, symbol)
+                try:
+                    nxt, command = tick(runtime, symbol)
+                except ValueError as exc:  # e.g. a successor built with FsmRuntime(...), whose checks reject it
+                    conflicts.append(f"({state.name}, silence={silence}, {symbol.name}) raised {exc}")
+                    continue
                 b, s = nxt.brownout_ticks, nxt.silence_ticks
                 if b != brownout_ticks or not 0 <= s <= b or command is not ACTUATION[nxt.state]:
                     conflicts.append(f"({state.name}, silence={silence}, {symbol.name}) gave {nxt}, {command}")

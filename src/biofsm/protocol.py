@@ -1,10 +1,10 @@
-"""One-byte UDP wire protocol between the wearable and benchtop nodes.
+"""One-byte UDP wire protocol between the wearable and benchtop nodes, whose two ends are UDP sockets.
 
-The wearable sends a single ASCII byte per decision: 'A', 'B' or 'C'. The
-benchtop turns each tick's datagrams into one input symbol with `collapse`:
-the newest wins, so a tick shows the latest report rather than the backlog,
-and a tick with none is ABSENT. Decoding is total: any unexpected payload
-(wrong byte, wrong length, empty datagram) is UNRECOGNIZED rather than raising.
+The wearable's `UdpSender` sends a single ASCII byte per decision: 'A', 'B' or 'C'. The benchtop's
+`UdpReceiver` turns each tick's datagrams into one input symbol with `collapse`: the newest wins, so a
+tick shows the latest report rather than the backlog, and a tick with none is ABSENT. Decoding is total:
+any unexpected payload (wrong byte, wrong length, empty datagram) is UNRECOGNIZED rather than raising.
+Both ends subclass `socket.socket`, as `ssl.SSLSocket` does, so `close` and `with` are the socket's own.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import socket
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .classifier import ArousalClass
 
 log = logging.getLogger(__name__)
-_Socket = TypeVar("_Socket", bound="_UdpSocket")
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8888
@@ -76,55 +75,40 @@ class EndpointConfig:
             raise ValueError(f"port {self.port} outside 0-65535")
 
 
-class _UdpSocket:
-    """The one socket each end of the link owns, closed by `close` or `with`."""
-
-    _sock: socket.socket
-
-    def close(self) -> None:
-        self._sock.close()
-
-    def __enter__(self: _Socket) -> _Socket:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class UdpSender(_UdpSocket):
-    """Fire-and-forget datagram sender for the wearable node."""
+class UdpSender(socket.socket):
+    """Fire-and-forget datagram sender for the wearable node; of the socket's methods, callers use only `close`."""
 
     def __init__(self, config: EndpointConfig | None = None):
+        super().__init__(socket.AF_INET, socket.SOCK_DGRAM)
         self.config = config or EndpointConfig()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
 
     def send_raw(self, payload: bytes) -> bool:
         """Send one datagram; a refused or failed send is logged and dropped."""
         try:
-            self._sock.sendto(payload, (self.config.host, self.config.port))
+            self.sendto(payload, (self.config.host, self.config.port))
             return True
         except OSError as exc:
             log.warning("send to %s:%d failed: %s", self.config.host, self.config.port, exc)
             return False
 
 
-class UdpReceiver(_UdpSocket):
+class UdpReceiver(socket.socket):
     """Non-blocking datagram receiver for the benchtop node.
 
-    Port 0 binds an ephemeral port; the actual port is exposed as `.port`
-    so tests can wire a sender to it.
+    Of the socket's methods, callers use only `close`, and tests `fileno` through `select`. Port 0 binds an
+    ephemeral port; the actual port is exposed as `.port` so tests can wire a sender to it.
     """
 
     def __init__(self, config: EndpointConfig | None = None):
+        super().__init__(socket.AF_INET, socket.SOCK_DGRAM)
         self.config = config or EndpointConfig()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            self._sock.bind((self.config.host, self.config.port))
+            self.bind((self.config.host, self.config.port))
         except OSError:  # a busy port or an unresolvable host
-            self._sock.close()
+            self.close()
             raise
-        self._sock.setblocking(False)
-        self.port = self._sock.getsockname()[1]
+        self.setblocking(False)
+        self.port = self.getsockname()[1]
 
     def poll_receive(self, deadline: float) -> InputSymbol:
         """The input of the tick that ends at `deadline`, a `time.monotonic()` reading: `collapse` of its datagrams."""
@@ -134,10 +118,10 @@ class UdpReceiver(_UdpSocket):
         """Each datagram received until `deadline`; the drain after the last wait catches one that raced it."""
         while True:
             remaining = deadline - time.monotonic()
-            readable = remaining > 0 and select.select([self._sock], [], [], remaining)[0]
+            readable = remaining > 0 and select.select([self], [], [], remaining)[0]
             while True:
                 try:
-                    yield self._sock.recvfrom(4096)[0]
+                    yield self.recvfrom(4096)[0]
                 except BlockingIOError:
                     break
             if not readable:

@@ -500,6 +500,22 @@ def test_wearable_rejects_a_synthesis_setting_before_touching_any_log(flags, mes
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == logs
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_standalone_wearable_rejects_port_0_before_touching_any_log(source, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
+    logs = {name: f'{{"{name}": 0}}\n'.encode() for name in ("w.jsonl", "wearable.jsonl")}
+    for name, content in logs.items():
+        (tmp_path / name).write_bytes(content)
+    config = tmp_path / "wearable.json"
+    config.write_text('{"role": "wearable", "port": 0}')
+    logs[config.name] = config.read_bytes()
+    flags = ["--port", "0"] if source == "flag" else ["--config", str(config)]
+    assert main(["wearable", *flags, "--log", "w.jsonl", "--duration-s", "31", "--gsr", "17.5"]) == 2
+    message = "port 0 is not a send destination; only --duplex binds an ephemeral port"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == logs
+
+
 def test_wearable_trace_replay(tmp_path):
     # record a synthetic run, then replay the file; same decisions
     from biofsm.signals import SignalProfile, save_trace, synth_physio

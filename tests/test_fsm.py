@@ -231,6 +231,24 @@ def test_the_proof_itself_rejects_a_silence_counter_past_the_budget(monkeypatch,
         assert capsys.readouterr().out.endswith(": NON-DETERMINISTIC\n")
 
 
+def test_a_tick_that_raises_is_a_conflict_not_a_configuration_error(monkeypatch, capsys):
+    def uncapped(runtime, symbol):
+        # forgets the cap on silence and builds its successor with FsmRuntime, whose check then raises
+        if symbol is not InputSymbol.ABSENT:
+            return tick(runtime, symbol)
+        silence = runtime.silence_ticks + 1
+        state = BenchState.BROWNOUT if silence >= runtime.brownout_ticks else runtime.state
+        return FsmRuntime(state, silence, runtime.brownout_ticks), ACTUATION[state]
+
+    monkeypatch.setattr(fsm, "tick", uncapped)
+    for b in (1, 10, 10**9):
+        assert verify_determinism(b).conflicts == [
+            f"({state.name}, silence={b}, ABSENT) raised silence_ticks {b + 1} outside 0-{b}" for state in BenchState
+        ]
+        assert main(["simulate", "--transitions", "--brownout-ticks", str(b)]) == 1
+        assert capsys.readouterr() == (verify_determinism(b).render() + "\n", "")
+
+
 GOLDEN_ROWS = (Path(__file__).resolve().parent / "golden" / "transitions.txt").read_text().splitlines()[2:7]
 
 

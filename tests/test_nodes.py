@@ -145,7 +145,7 @@ def test_closing_iter_wearable_early_logs_the_non_finite_count_and_closes_its_so
     windows.close()
     warnings = [r.getMessage() for r in caplog.records if "non-finite" in r.getMessage()]
     assert warnings == ["skipped 1 samples with a non-finite value or timestamp"]
-    assert [s._sock.fileno() for s in senders] == [-1]
+    assert [s.fileno() for s in senders] == [-1]
     assert log.read_text().count("\n") == 1
 
 

@@ -147,6 +147,6 @@ def test_a_poll_with_no_time_left_still_drains_once(timeout_s):
             sender.send_raw(encode_class(ArousalClass.MILD))
             # Loopback delivery is not instant; a generous poll proves the
             # datagram is queued without reading it.
-            assert select.select([receiver._sock], [], [], 1.0)[0]
+            assert select.select([receiver], [], [], 1.0)[0]
             assert receiver.poll_receive(time.monotonic() + timeout_s) is InputSymbol.VALID_B
         assert receiver.poll_receive(time.monotonic()) is InputSymbol.ABSENT
