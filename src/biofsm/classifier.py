@@ -41,7 +41,6 @@ _CLASSES = tuple(ArousalClass)  # band order: band k votes for _CLASSES[k]
 class FeatureFrame:
     """Per-beat feature vector used for window voting."""
 
-    beat_index: int
     timestamp_ms: float
     bpm: float
     gsr_us: float
@@ -206,13 +205,10 @@ class FeatureExtractor:
             self.gsr_timestamp_ms = sample.timestamp_ms
             self.gsr_window.append(sample.value)
             return None
-        beat = self.detector.step(sample)
-        if beat is None:
-            return None
-        gap = beat.inter_beat_interval_ms
+        gap = self.detector.step(sample)
         if gap is None or len(self.gsr_window) < GSR_WINDOW_SIZE:
             return None
-        return FeatureFrame(beat.beat_index, beat.timestamp_ms, 60000.0 / gap, sum(self.gsr_window) / GSR_WINDOW_SIZE)
+        return FeatureFrame(sample.timestamp_ms, 60000.0 / gap, sum(self.gsr_window) / GSR_WINDOW_SIZE)
 
 
 def iter_decisions(samples: Iterable[PhysioSample], ladder: LadderConfig | None = None) -> Iterator[WindowDecision]:

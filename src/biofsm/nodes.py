@@ -13,6 +13,7 @@ import itertools
 import json
 import logging
 import math
+import threading
 import time
 from contextlib import AbstractContextManager, closing, nullcontext, suppress
 from pathlib import Path
@@ -96,6 +97,8 @@ def run_benchtop(
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
+    if tick_ms / 1000.0 > threading.TIMEOUT_MAX:  # the longest wait a poll's select accepts
+        raise ValueError(f"tick_ms must be at most {threading.TIMEOUT_MAX * 1000.0!r}, got {tick_ms!r}")
     FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
     if max_ticks is not None and max_ticks < 0:
         raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")

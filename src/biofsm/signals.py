@@ -49,15 +49,6 @@ class PhysioSample:
     value: float
 
 
-@dataclass
-class BeatEvent:
-    """A detected heartbeat. `inter_beat_interval_ms` is absent for beat 0."""
-
-    beat_index: int
-    timestamp_ms: float
-    inter_beat_interval_ms: float | None = None
-
-
 # Beat detector tuning. The original embedded implementation publishes none;
 # these are stand-ins chosen for a 50 samples/s stream and a 60-120 BPM signal.
 DC_COEFFICIENT = 0.95      # single-pole baseline tracker, weight of old estimate
@@ -81,15 +72,13 @@ class BeatDetector:
 
     def __init__(self):
         self.dc_estimate: float | None = None
-        self.ac_value: float = 0.0
         self.envelope: float = 0.0
         self.last_crossing_ms: float | None = None
         self.last_timestamp_ms: float | None = None
-        self.beat_count: int = 0
         self._armed: bool = True
 
-    def step(self, sample: PhysioSample) -> BeatEvent | None:
-        """Consume one PPG sample, returning a BeatEvent on an accepted crossing."""
+    def step(self, sample: PhysioSample) -> float | None:
+        """Consume one PPG sample; an accepted beat after the first returns its gap in ms, else None."""
         if sample.channel is not _PPG:
             raise ValueError(f"beat detector expects PPG samples, got {sample.channel}")
         timestamp = sample.timestamp_ms
@@ -102,7 +91,7 @@ class BeatDetector:
         dc = self.dc_estimate
         dc = value if dc is None else DC_COEFFICIENT * dc + (1.0 - DC_COEFFICIENT) * value
         self.dc_estimate = dc
-        self.ac_value = ac = value - dc
+        ac = value - dc
 
         # Threshold uses the envelope from past samples only, otherwise the
         # envelope would chase the current sample and the threshold could
@@ -114,21 +103,19 @@ class BeatDetector:
         if MIN_THRESHOLD > threshold:
             threshold = MIN_THRESHOLD
 
-        beat: BeatEvent | None = None
+        gap: float | None = None
         if self._armed and ac >= threshold:
             self._armed = False
             last_crossing = self.last_crossing_ms
             if last_crossing is None or timestamp - last_crossing >= REFRACTORY_MS:
-                interval = None if last_crossing is None else timestamp - last_crossing
-                beat = BeatEvent(self.beat_count, timestamp, interval)
-                self.beat_count += 1
+                gap = None if last_crossing is None else timestamp - last_crossing
                 self.last_crossing_ms = timestamp
         elif not self._armed and ac < REARM_LEVEL:
             self._armed = True
 
         envelope *= ENVELOPE_DECAY
         self.envelope = ac if ac > envelope else envelope
-        return beat
+        return gap
 
 
 PPG_RATE_HZ = 50.0      # synthetic sample rates

@@ -201,7 +201,7 @@ def test_criterion_7_mild_outweighs_normal_in_the_overlap():
     violations = []
     for bpm in (60.0, 70.0, 80.0, 84.9):
         for gsr in (15.0, 16.0, 17.5, 19.9):
-            arousal = classify_window([FeatureFrame(0, 0.0, bpm, gsr)]).arousal
+            arousal = classify_window([FeatureFrame(0.0, bpm, gsr)]).arousal
             if arousal is not ArousalClass.MILD:
                 violations.append(f"bpm={bpm}, gsr={gsr}: {arousal}")
     _check(

@@ -26,8 +26,8 @@ from biofsm.classifier import (
 from biofsm.signals import MIN_THRESHOLD, BeatDetector, Channel, PhysioSample, SampleOrderError, SignalProfile, synth_physio
 
 
-def frame(bpm, gsr, index=0, ts=0.0):
-    return FeatureFrame(index, ts, bpm, gsr)
+def frame(bpm, gsr, ts=0.0):
+    return FeatureFrame(ts, bpm, gsr)
 
 
 SEVERITY = list(ArousalClass).index  # 0 NORMAL, 1 MILD, 2 HIGH: the band a vote goes to
@@ -148,8 +148,8 @@ def test_gsr_outside_range_is_dropped(gsr):
 
 def test_window_vote_matches_manual_summation():
     config = LadderConfig()
-    mild_frames = [frame(70.0, 17.5, i) for i in range(10)]
-    high_frames = [frame(118.0, 24.0, 10 + i) for i in range(5)]
+    mild_frames = [frame(70.0, 17.5)] * 10
+    high_frames = [frame(118.0, 24.0)] * 5
     decision = classify_window(mild_frames + high_frames, config)
 
     # By hand: a (70, 17.5) frame votes 2 for NORMAL and 3 for MILD; a
@@ -161,7 +161,7 @@ def test_window_vote_matches_manual_summation():
 
 
 def test_uniform_window_keeps_its_class():
-    frames = [frame(65.0, 5.0, i) for i in range(15)]
+    frames = [frame(65.0, 5.0)] * 15
     decision = classify_window(frames)
     assert decision.arousal is ArousalClass.NORMAL
     assert decision.frames_used == 15
@@ -193,14 +193,14 @@ def test_ties_resolve_to_the_lower_class():
 
 
 def test_classification_is_deterministic():
-    frames = [frame(70.0 + i, 10.0 + i / 2.0, i) for i in range(20)]
+    frames = [frame(70.0 + i, 10.0 + i / 2.0) for i in range(20)]
     first = classify_window(frames)
     second = classify_window(frames)
     assert first == second
 
 
 def test_argmax_is_scale_invariant():
-    frames = [frame(70.0, 17.5, i) for i in range(7)] + [frame(118.0, 24.0, 9)]
+    frames = [frame(70.0, 17.5)] * 7 + [frame(118.0, 24.0)]
     pairs = [(0, 1)] * 7 + [(2, 2)]
     decision = classify_window(frames)
     for scale in (Fraction(1), Fraction(1, 5), Fraction(37, 10)):
@@ -245,13 +245,13 @@ def test_fixed_tuning_keeps_its_invariants():
 
 def test_accumulator_closes_back_to_back_windows():
     acc = WindowAccumulator(LadderConfig())
-    assert acc.add(frame(70.0, 17.5, 0, ts=2_000.0)) == []
-    assert acc.add(frame(70.0, 17.5, 1, ts=14_999.0)) == []
-    closed = acc.add(frame(70.0, 17.5, 2, ts=15_000.0))
+    assert acc.add(frame(70.0, 17.5, ts=2_000.0)) == []
+    assert acc.add(frame(70.0, 17.5, ts=14_999.0)) == []
+    closed = acc.add(frame(70.0, 17.5, ts=15_000.0))
     assert [w.window_index for w in closed] == [0]
-    assert [f.beat_index for f in closed[0].frames] == [0, 1]
+    assert [f.timestamp_ms for f in closed[0].frames] == [2000.0, 14999.0]
     # a frame far in the future closes the intervening empty windows too
-    closed = acc.add(frame(70.0, 17.5, 3, ts=47_000.0))
+    closed = acc.add(frame(70.0, 17.5, ts=47_000.0))
     assert [w.window_index for w in closed] == [1, 2]
     assert closed[1].frames == []
     tail = acc.flush()
@@ -313,10 +313,10 @@ def test_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving)
         if sample.channel is Channel.GSR:
             gsr.append(sample.value)
             continue
-        beat = detector.step(sample)
-        if beat is not None and beat.inter_beat_interval_ms is not None and len(gsr) >= GSR_WINDOW_SIZE:
+        gap = detector.step(sample)
+        if gap is not None and len(gsr) >= GSR_WINDOW_SIZE:
             mean = sum(gsr[-GSR_WINDOW_SIZE:]) / GSR_WINDOW_SIZE
-            expected.append(FeatureFrame(beat.beat_index, beat.timestamp_ms, 60000.0 / beat.inter_beat_interval_ms, mean))
+            expected.append(FeatureFrame(sample.timestamp_ms, 60000.0 / gap, mean))
     assert frames == expected  # gsr_us compared exactly
 
 

@@ -682,6 +682,7 @@ def test_duplex_benchtop_shows_each_window_in_turn(seed, tick_ms, tmp_path, monk
     [
         (["--brownout-ticks", "0"], "brownout_ticks must be >= 1"),
         (["--tick-ms", "0"], "tick_ms must be finite and positive, got 0.0"),
+        (["--tick-ms", "1e300"], f"tick_ms must be at most {threading.TIMEOUT_MAX * 1000.0!r}, got 1e+300"),
     ],
 )
 def test_duplex_rejects_a_benchtop_setting_before_starting(flags, message, tmp_path, monkeypatch, capsys):

@@ -225,7 +225,7 @@ def test_extractor_skips_and_counts_non_finite_samples(channel, field, bad):
     assert frames(session(channel, field, bad)) == (clean, 1)
 
 
-@pytest.mark.parametrize("tick_ms", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("tick_ms", [float("nan"), float("inf"), 0.0, -1.0, 1e300])
 def test_benchtop_rejects_a_tick_that_is_not_finite_and_positive(tick_ms):
     with pytest.raises(ValueError, match="tick_ms"):
         run_benchtop(StubReceiver(FakeClock()), tick_ms=tick_ms, max_ticks=1)

@@ -21,7 +21,6 @@ from biofsm.signals import (
     REFRACTORY_MS,
     THRESHOLD_FRACTION,
     BeatDetector,
-    BeatEvent,
     Channel,
     PhysioSample,
     SampleOrderError,
@@ -72,7 +71,7 @@ def smoothed(values):
         assert extractor.add(PhysioSample(i * 100.0, Channel.GSR, value)) is None
     pulse = [(0.0, 0.0), (1000.0, 100.0), (1020.0, 0.0), (1500.0, 100.0)]
     *warmup, frame = [extractor.add(PhysioSample(t, Channel.PPG, v)) for t, v in pulse]
-    assert warmup == [None, None, None] and extractor.detector.beat_count == 2
+    assert warmup == [None, None, None] and extractor.detector.last_crossing_ms == 1500.0
     return None if frame is None else frame.gsr_us
 
 
@@ -80,7 +79,7 @@ def test_constant_input_produces_no_beats():
     detector = BeatDetector()
     for i in range(2000):
         assert detector.step(PhysioSample(i * 20.0, Channel.PPG, 1000.0)) is None
-    assert detector.beat_count == 0
+    assert detector.last_crossing_ms is None
 
 
 @pytest.mark.parametrize("target_bpm", [60.0, 90.0, 120.0])
@@ -94,9 +93,9 @@ def test_beat_intervals_land_on_the_sample_grid(target_bpm):
     detector = BeatDetector()
     intervals = []
     for sample in ppg_only(SignalProfile(bpm_start=target_bpm), 60_000, seed=11):
-        beat = detector.step(sample)
-        if beat is not None and beat.inter_beat_interval_ms is not None:
-            intervals.append(beat.inter_beat_interval_ms)
+        gap = detector.step(sample)
+        if gap is not None:
+            intervals.append(gap)
     assert len(intervals) >= target_bpm * 0.9
     assert set(intervals[2:]) <= allowed
 
@@ -131,7 +130,7 @@ def test_baseline_drift_does_not_disturb_detection():
 def test_first_beat_has_no_rate():
     first, second = pulse_frames([1000.0])
     assert first is None
-    assert second.beat_index == 1 and second.bpm == 60.0
+    assert second.timestamp_ms == 2000.0 and second.bpm == 60.0
 
 
 @pytest.mark.parametrize(
@@ -176,11 +175,9 @@ class ReferenceDetector:
 
     def __init__(self):
         self.dc_estimate = None
-        self.ac_value = 0.0
         self.envelope = 0.0
         self.last_crossing_ms = None
         self.last_timestamp_ms = None
-        self.beat_count = 0
         self._armed = True
 
     @property
@@ -193,25 +190,22 @@ class ReferenceDetector:
             self.dc_estimate = sample.value
         else:
             self.dc_estimate = DC_COEFFICIENT * self.dc_estimate + (1.0 - DC_COEFFICIENT) * sample.value
-        self.ac_value = sample.value - self.dc_estimate
+        ac = sample.value - self.dc_estimate
         threshold = self.threshold
-        beat = None
-        if self._armed and self.ac_value >= threshold:
+        gap = None
+        if self._armed and ac >= threshold:
             self._armed = False
             if (
                 self.last_crossing_ms is None
                 or sample.timestamp_ms - self.last_crossing_ms >= REFRACTORY_MS
             ):
-                interval = None
                 if self.last_crossing_ms is not None:
-                    interval = sample.timestamp_ms - self.last_crossing_ms
-                beat = BeatEvent(self.beat_count, sample.timestamp_ms, interval)
-                self.beat_count += 1
+                    gap = sample.timestamp_ms - self.last_crossing_ms
                 self.last_crossing_ms = sample.timestamp_ms
-        elif not self._armed and self.ac_value < REARM_LEVEL:
+        elif not self._armed and ac < REARM_LEVEL:
             self._armed = True
-        self.envelope = max(self.envelope * ENVELOPE_DECAY, self.ac_value)
-        return beat
+        self.envelope = max(self.envelope * ENVELOPE_DECAY, ac)
+        return gap
 
 
 def bits(x):
@@ -220,12 +214,8 @@ def bits(x):
 
 
 def detector_state(detector):
-    names = ("dc_estimate", "ac_value", "envelope", "beat_count", "last_crossing_ms", "last_timestamp_ms", "_armed")
+    names = ("dc_estimate", "envelope", "last_crossing_ms", "last_timestamp_ms", "_armed")
     return {name: bits(getattr(detector, name)) for name in names}
-
-
-def event_bits(event):
-    return None if event is None else (event.beat_index, bits(event.timestamp_ms), bits(event.inter_beat_interval_ms))
 
 
 # A small pool of exact values makes repeats, zeros of both signs and ties
@@ -247,8 +237,8 @@ def test_detector_steps_like_the_reference(start_ms, steps):
     timestamps = itertools.accumulate((gap for gap, _ in steps), initial=start_ms)
     for timestamp, (_, value) in zip(timestamps, steps):
         sample = PhysioSample(float(timestamp), Channel.PPG, value)
-        assert event_bits(detector.step(sample)) == event_bits(reference.step(sample))
-    assert detector_state(detector) == detector_state(reference)
+        assert bits(detector.step(sample)) == bits(reference.step(sample))
+        assert detector_state(detector) == detector_state(reference)
 
 
 def test_detector_rejects_gsr_samples():
