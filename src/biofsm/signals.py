@@ -83,7 +83,10 @@ class BeatDetector:
             raise ValueError(f"beat detector expects PPG samples, got {sample.channel}")
         timestamp = sample.timestamp_ms
         last_timestamp = self.last_timestamp_ms
-        if last_timestamp is not None and timestamp <= last_timestamp:
+        if last_timestamp is None:
+            if math.isnan(timestamp):  # a stored NaN would let every later timestamp through
+                raise SampleOrderError(f"PPG timestamp {timestamp} is not a number")
+        elif not timestamp > last_timestamp:
             raise SampleOrderError(f"PPG timestamp {timestamp} not after {last_timestamp}")
         self.last_timestamp_ms = timestamp
 

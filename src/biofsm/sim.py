@@ -36,9 +36,14 @@ class ScriptError(ValueError):
 
 def parse_script(text: str) -> list[InputSymbol]:
     """Parse a tick script: one token per line, A/B/C/X/-, # comments allowed."""
-    symbols: list[InputSymbol] = []
+    lines = text.splitlines()
+    # A bare token strips to itself, so a script of them maps in one C-level pass.
+    symbols = list(filter(None, map(_TOKENS.get, lines)))
+    if len(symbols) == len(lines):
+        return symbols
+    symbols.clear()
     append, token = symbols.append, _TOKENS.get
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         symbol = token(line)
         if symbol is not None:

@@ -253,6 +253,29 @@ def test_detector_enforces_timestamp_order():
         detector.step(PhysioSample(0.0, Channel.PPG, 1001.0))
 
 
+def test_detector_rejects_a_nan_timestamp():
+    # A stored NaN compares neither before nor after anything, so timestamps
+    # could then run backwards and the spike at 10.0 would be taken as a beat.
+    nan = math.nan
+    detector = BeatDetector()
+    assert detector.step(PhysioSample(100.0, Channel.PPG, 1000.0)) is None
+    accepted = detector_state(detector)
+    for timestamp, value in [(nan, 1000.0), (50.0, 1000.0), (nan, 1000.0), (10.0, 1e6)]:
+        with pytest.raises(SampleOrderError) as excinfo:
+            detector.step(PhysioSample(timestamp, Channel.PPG, value))
+        assert str(excinfo.value) == f"PPG timestamp {timestamp} not after 100.0"
+        assert detector_state(detector) == accepted
+    assert detector.last_crossing_ms is None
+
+    first = BeatDetector()
+    fresh = detector_state(first)
+    with pytest.raises(SampleOrderError) as excinfo:
+        first.step(PhysioSample(nan, Channel.PPG, 1000.0))
+    assert str(excinfo.value) == "PPG timestamp nan is not a number"
+    assert first.last_timestamp_ms is None
+    assert detector_state(first) == fresh
+
+
 def test_smoother_uniform_mean_is_exact():
     assert smoothed([10.0] * 8) == 10.0
     assert smoothed([0.0] * 4 + [8.0] * 4) == 4.0

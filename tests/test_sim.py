@@ -42,6 +42,14 @@ def test_parse_script_reports_the_offending_line():
         parse_script("A\nB\nQ\n")
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [("", []), ("A", [A]), ("A\nB\n", [A, B]), ("A\n B\n", [A, B])],
+)
+def test_parse_script_bare_and_padded_tokens(text, expected):
+    assert parse_script(text) == expected
+
+
 def test_script_file_roundtrip(tmp_path):
     path = tmp_path / "script.txt"
     symbols = [A, ABSENT, X, C]
@@ -77,12 +85,24 @@ SCRIPT_LINES = st.one_of(
     st.sampled_from(["Q", "AB", "a", "--", "A #x"]),
 )
 LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+BARE_TOKENS = st.sampled_from("ABCX-")
+# A line that is not a bare token: a padded token, a blank, a comment or a bad line.
+ODD_LINES = SCRIPT_LINES.filter(lambda line: line not in ("A", "B", "C", "X", "-"))
 
 
 @st.composite
 def script_texts(draw):
-    """Script lines each ended by a line break, the last break sometimes dropped."""
-    lines = draw(st.lists(st.tuples(SCRIPT_LINES, LINE_BREAKS), max_size=12))
+    """Script lines each ended by a line break, the last break sometimes dropped.
+
+    Half the scripts are bare tokens, which `parse_script` maps in one pass,
+    half of those with one odd line inserted, which sends it to its line loop.
+    """
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.tuples(BARE_TOKENS, LINE_BREAKS), max_size=60))
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.tuples(ODD_LINES, LINE_BREAKS)))
+    else:
+        lines = draw(st.lists(st.tuples(SCRIPT_LINES, LINE_BREAKS), max_size=12))
     text = "".join(line + brk for line, brk in lines)
     if lines and draw(st.booleans()):
         text = text[: -len(lines[-1][1])]
