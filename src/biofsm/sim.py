@@ -25,8 +25,8 @@ from .fsm import (
 )
 from .protocol import InputSymbol
 
-# Token -> symbol, probed once per script line by `parse_script`: a dict
-# lookup, because calling InputSymbol(token) costs about twenty times as much.
+# Token -> symbol: `parse_script` maps a line with a dict lookup, because
+# calling InputSymbol(token) costs about twenty times as much.
 _TOKENS = {symbol.value: symbol for symbol in InputSymbol}
 
 
@@ -37,20 +37,22 @@ class ScriptError(ValueError):
 def parse_script(text: str) -> list[InputSymbol]:
     """Parse a tick script: one token per line, A/B/C/X/-, # comments allowed."""
     lines = text.splitlines()
-    # A bare token strips to itself, so a script of them maps in one C-level pass.
-    symbols = list(filter(None, map(_TOKENS.get, lines)))
-    if len(symbols) == len(lines):
-        return symbols
-    symbols.clear()
-    append, token = symbols.append, _TOKENS.get
-    for lineno, raw in enumerate(lines, start=1):
+    # Each distinct line that is not a bare token is read once in Python: a
+    # padded token joins this script's table, and a blank or comment stays
+    # out of it. Mapping the lines through the table is one C-level pass.
+    table = dict(_TOKENS)
+    bad = set()
+    for raw in set(lines) - _TOKENS.keys():
         line = raw.strip()
-        symbol = token(line)
-        if symbol is not None:
-            append(symbol)
-        elif line and not line.startswith("#"):
-            raise ScriptError(f"line {lineno}: unknown symbol {line!r} (expected A, B, C, X or -)")
-    return symbols
+        if line in _TOKENS:
+            table[raw] = _TOKENS[line]
+        elif line and line[0] != "#":
+            bad.add(raw)
+    if bad:
+        first = next(filter(bad.__contains__, lines))  # the first bad line
+        lineno, line = lines.index(first) + 1, first.strip()
+        raise ScriptError(f"line {lineno}: unknown symbol {line!r} (expected A, B, C, X or -)")
+    return list(filter(None, map(table.get, lines)))
 
 
 def load_script(path: str | Path) -> list[InputSymbol]:

@@ -30,6 +30,8 @@ X, ABSENT = InputSymbol.UNRECOGNIZED, InputSymbol.ABSENT
 def test_parse_script_tokens_comments_blanks():
     text = "A\n# warm up\n\nB\nC\nX\n-\n"
     assert parse_script(text) == [A, B, C, X, ABSENT]
+    for text, expected in [("", []), ("A", [A]), ("A\nB\n", [A, B]), ("A\n B\n", [A, B])]:
+        assert parse_script(text) == expected
 
 
 def test_a_form_feed_ends_a_script_line():
@@ -40,14 +42,6 @@ def test_a_form_feed_ends_a_script_line():
 def test_parse_script_reports_the_offending_line():
     with pytest.raises(ScriptError, match="line 3"):
         parse_script("A\nB\nQ\n")
-
-
-@pytest.mark.parametrize(
-    "text,expected",
-    [("", []), ("A", [A]), ("A\nB\n", [A, B]), ("A\n B\n", [A, B])],
-)
-def test_parse_script_bare_and_padded_tokens(text, expected):
-    assert parse_script(text) == expected
 
 
 def test_script_file_roundtrip(tmp_path):
@@ -94,8 +88,8 @@ ODD_LINES = SCRIPT_LINES.filter(lambda line: line not in ("A", "B", "C", "X", "-
 def script_texts(draw):
     """Script lines each ended by a line break, the last break sometimes dropped.
 
-    Half the scripts are bare tokens, which `parse_script` maps in one pass,
-    half of those with one odd line inserted, which sends it to its line loop.
+    Half the scripts are bare tokens, which `parse_script` maps without
+    reading any line in Python, half of those with one odd line inserted.
     """
     if draw(st.booleans()):
         lines = draw(st.lists(st.tuples(BARE_TOKENS, LINE_BREAKS), max_size=60))
