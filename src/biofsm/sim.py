@@ -25,8 +25,8 @@ from .fsm import (
 )
 from .protocol import InputSymbol
 
-# Token -> symbol: `parse_script` maps a line with a dict lookup, because
-# calling InputSymbol(token) costs about twenty times as much.
+# Token -> symbol: `parse_script` reads a line's token with a dict lookup,
+# because calling InputSymbol(token) costs about twenty times as much.
 _TOKENS = {symbol.value: symbol for symbol in InputSymbol}
 
 
@@ -37,12 +37,12 @@ class ScriptError(ValueError):
 def parse_script(text: str) -> list[InputSymbol]:
     """Parse a tick script: one token per line, A/B/C/X/-, # comments allowed."""
     lines = text.splitlines()
-    # Each distinct line that is not a bare token is read once in Python: a
-    # padded token joins this script's table, and a blank or comment stays
-    # out of it. Mapping the lines through the table is one C-level pass.
-    table = dict(_TOKENS)
+    # Each distinct line is read once in Python: one that strips to a token
+    # joins this script's table, and a blank or comment stays out of it.
+    # Mapping the lines through the table is then one C-level pass.
+    table = {}
     bad = set()
-    for raw in set(lines) - _TOKENS.keys():
+    for raw in set(lines):
         line = raw.strip()
         if line in _TOKENS:
             table[raw] = _TOKENS[line]
