@@ -37,9 +37,8 @@ class ScriptError(ValueError):
 def parse_script(text: str) -> list[InputSymbol]:
     """Parse a tick script: one token per line, A/B/C/X/-, # comments allowed."""
     lines = text.splitlines()
-    # Each distinct line is read once in Python: one that strips to a token
-    # joins this script's table, and a blank or comment stays out of it.
-    # Mapping the lines through the table is then one C-level pass.
+    # Each distinct line is read once in Python, then mapping every line is one
+    # C-level pass: a token joins this table, and a blank or comment stays out.
     table = {}
     bad = set()
     for raw in set(lines):
