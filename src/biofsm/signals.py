@@ -165,12 +165,30 @@ def synth_physio(profile: SignalProfile, duration_ms: float, seed: int) -> Itera
     for name in ("ppg_noise", "gsr_noise_us"):
         if finite[name] < 0:
             raise ValueError(f"{name} must be non-negative, got {finite[name]!r}")
+    # Finite settings can still overflow a sample: through a noise width 2n, the
+    # GSR span, a GSR level plus noise (a level lies within |start| + |span| of
+    # zero) or the PPG phase; a heart-rate span cannot, both ends being positive.
+    # The phase grows by one step per PPG sample, and rounding carries that sum
+    # past the phase at the top rate over the whole duration by less than 8x.
+    gsr0, gsr_noise = profile.gsr_start_us, profile.gsr_noise_us
+    gsr_span = (gsr0 if profile.gsr_end_us is None else profile.gsr_end_us) - gsr0
+    top_bpm = max(profile.bpm_start, profile.bpm_end or 0.0)
+    settings = positive | finite
+    for what, names, x in (
+        ("PPG noise width", "ppg_noise", 2.0 * profile.ppg_noise),
+        ("GSR noise width", "gsr_noise_us", 2.0 * gsr_noise),
+        ("GSR span", "gsr_start_us gsr_end_us", gsr_span),
+        ("GSR level plus noise", "gsr_start_us gsr_end_us gsr_noise_us", abs(gsr0) + abs(gsr_span) + gsr_noise),
+        ("PPG phase", "bpm_start bpm_end duration_ms", 8.0 * 2.0 * math.pi * top_bpm / 60.0 * duration_ms / 1000.0),
+    ):
+        if not abs(x) < math.inf:
+            raise ValueError(f"{what} overflows with " + ", ".join(f"{n}={settings[n]!r}" for n in names.split()))
     return _synth(profile, duration_ms, seed)
 
 
 def _synth(profile: SignalProfile, duration_ms: float, seed: int) -> Iterator[PhysioSample]:
-    ppg_uniform = random.Random(f"{seed}/ppg").uniform
-    gsr_uniform = random.Random(f"{seed}/gsr").uniform
+    ppg_random = random.Random(f"{seed}/ppg").random
+    gsr_random = random.Random(f"{seed}/gsr").random
     ppg_dt_ms = 1000.0 / PPG_RATE_HZ
     gsr_dt_ms = 1000.0 / GSR_RATE_HZ
     n_ppg = int(duration_ms / ppg_dt_ms)
@@ -181,7 +199,10 @@ def _synth(profile: SignalProfile, duration_ms: float, seed: int) -> Iterator[Ph
     gsr0, gsr_end, gsr_noise = profile.gsr_start_us, profile.gsr_end_us, profile.gsr_noise_us
     bpm_span = None if bpm_end in (None, bpm0) else bpm_end - bpm0
     gsr_span = None if gsr_end in (None, gsr0) else gsr_end - gsr0
-    sin, inf, two_pi, ppg_dt_s = math.sin, math.inf, 2.0 * math.pi, ppg_dt_ms / 1000.0
+    # Noise is `Random.uniform(-n, n)`'s own arithmetic, `-n + (n - -n) * random()`,
+    # with the width taken once.
+    ppg_width, gsr_width = ppg_noise - -ppg_noise, gsr_noise - -gsr_noise
+    sin, inf, new, two_pi, ppg_dt_s = math.sin, math.inf, object.__new__, 2.0 * math.pi, ppg_dt_ms / 1000.0
     phase = 0.0
     i = j = 0
     t_ppg = 0.0 if n_ppg else inf
@@ -191,16 +212,20 @@ def _synth(profile: SignalProfile, duration_ms: float, seed: int) -> Iterator[Ph
             bpm = bpm0 if bpm_span is None else bpm0 + bpm_span * (t_ppg / duration_ms)
             value = PPG_OFFSET + PPG_AMPLITUDE * sin(phase)
             if ppg_noise > 0:
-                value += ppg_uniform(-ppg_noise, ppg_noise)
-            yield PhysioSample(t_ppg, _PPG, value)
+                value += -ppg_noise + ppg_width * ppg_random()
+            sample = new(PhysioSample)
+            sample.timestamp_ms, sample.channel, sample.value = t_ppg, _PPG, value
+            yield sample
             phase += two_pi * (bpm / 60.0) * ppg_dt_s
             i += 1
             t_ppg = i * ppg_dt_ms if i < n_ppg else inf
         else:
             level = gsr0 if gsr_span is None else gsr0 + gsr_span * (t_gsr / duration_ms)
             if gsr_noise > 0:
-                level += gsr_uniform(-gsr_noise, gsr_noise)
-            yield PhysioSample(t_gsr, _GSR, level)
+                level += -gsr_noise + gsr_width * gsr_random()
+            sample = new(PhysioSample)
+            sample.timestamp_ms, sample.channel, sample.value = t_gsr, _GSR, level
+            yield sample
             j += 1
             t_gsr = j * gsr_dt_ms if j < n_gsr else inf
 
@@ -217,7 +242,8 @@ def load_trace(path: str | Path) -> list[PhysioSample]:
     increase, as live capture would, naming the line a bad record ends on.
     """
     samples: list[PhysioSample] = []
-    append, channel_of, inf, last_seen = samples.append, _CHANNELS.get, math.inf, dict.fromkeys(Channel, -1.0)
+    append, new, channel_of = samples.append, object.__new__, _CHANNELS.get
+    inf, last_seen = math.inf, dict.fromkeys(Channel, -1.0)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -245,7 +271,9 @@ def load_trace(path: str | Path) -> list[PhysioSample]:
                     raise SampleOrderError(f"{path}: line {reader.line_num}: "
                                            f"{name} timestamp {timestamp} not after {last_seen[channel]}")
                 last_seen[channel] = timestamp
-                append(PhysioSample(timestamp, channel, value))
+                sample = new(PhysioSample)
+                sample.timestamp_ms, sample.channel, sample.value = timestamp, channel, value
+                append(sample)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
