@@ -42,6 +42,10 @@ class PhysioSample:
     `value` is a dimensionless ADC-like amplitude for PPG and microsiemens
     for GSR. Timestamps are milliseconds since session start, non-negative
     and strictly increasing per channel.
+
+    `load_trace` and `synth_physio` skip `__init__`: they create each sample
+    with `object.__new__` and set its slots directly, so a new field must be
+    set in both (`test_trace_roundtrip`'s `==` fails if one is missed).
     """
 
     timestamp_ms: float

@@ -474,6 +474,9 @@ def test_wearable_rejects_a_non_finite_duration(duration, capsys):
         (["--gsr-noise", "-1"], "gsr_noise_us must be non-negative, got -1.0"),
         (["--bpm", "1:2:3"], "--bpm expects START or START:END, got '1:2:3'"),
         (["--gsr", "10:x"], "--gsr expects START or START:END, got '10:x'"),
+        (["--ppg-noise", "1e308"], "PPG noise width overflows with ppg_noise=1e+308"),
+        (["--gsr=-1e308:1e308"], "GSR span overflows with gsr_start_us=-1e+308, gsr_end_us=1e+308"),
+        (["--bpm", "1.7e308"], "PPG phase overflows with bpm_start=1.7e+308, bpm_end=None, duration_ms=60000.0"),
     ],
 )
 def test_wearable_rejects_bad_synthesis_parameters(flags, message, capsys):

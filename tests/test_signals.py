@@ -6,7 +6,7 @@ import struct
 from statistics import median
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biofsm.classifier import GSR_WINDOW_SIZE, FeatureExtractor
 from biofsm.signals import (
@@ -376,6 +376,26 @@ def test_synthesis_rejects_non_finite_parameters(field, token):
 def test_synthesis_rejects_negative_noise(field, bad):
     with pytest.raises(ValueError, match=f"^{field} must be non-negative, got {bad!r}$"):
         list(synth_physio(SignalProfile(**{field: bad}), 1000.0, seed=0))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Streams up to 50 s are read whole; a longer one is read as far as that cap.
+SAMPLE_CAP = 3_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(FINITE, st.none() | FINITE, FINITE, st.none() | FINITE, FINITE, FINITE, st.floats(0.0, 50_000.0) | FINITE)
+@example(75.0, None, 5.0, None, 1e308, 0.0, 31_000.0)
+@example(75.0, None, -1e308, 1e308, 0.0, 0.0, 31_000.0)
+@example(1.7e308, None, 5.0, None, 0.0, 0.0, 31_000.0)
+def test_synthesis_refuses_at_the_call_or_yields_finite_samples(bpm, bpm_end, gsr, gsr_end, ppg_noise, gsr_noise,
+                                                                  duration_ms):
+    try:
+        stream = synth_physio(SignalProfile(bpm, bpm_end, gsr, gsr_end, ppg_noise, gsr_noise), duration_ms, seed=0)
+    except ValueError:
+        return
+    for sample in itertools.islice(stream, SAMPLE_CAP):
+        assert math.isfinite(sample.timestamp_ms) and math.isfinite(sample.value), sample
 
 
 def test_trace_roundtrip(tmp_path):
