@@ -77,6 +77,9 @@ class FsmRuntime(namedtuple("FsmRuntime", "state silence_ticks brownout_ticks"))
     def __new__(
         cls, state: BenchState = BenchState.NORMAL, silence_ticks: int = 0, brownout_ticks: int = DEFAULT_BROWNOUT_TICKS
     ) -> FsmRuntime:
+        for name, value in (("brownout_ticks", brownout_ticks), ("silence_ticks", silence_ticks)):
+            if isinstance(value, bool) or not isinstance(value, int):  # as NodeConfig: bool is no count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if brownout_ticks < 1:
             raise ValueError("brownout_ticks must be >= 1")
         if not (0 <= silence_ticks <= brownout_ticks):

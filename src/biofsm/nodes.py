@@ -5,6 +5,7 @@ appends it to a session log when a log path is given: the wearable per
 closed window, the benchtop per tick. `replay_script` sends a tick script
 over loopback UDP to the benchtop's own loop, one datagram per tick;
 `wearable --duplex` sends one `iter_wearable` window per tick the same way.
+Every send is `UdpSender.send_symbol`, which `protocol.collapse` reads back.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .classifier import LadderConfig, WindowDecision, iter_decisions
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
-from .protocol import EndpointConfig, InputSymbol, UdpReceiver, UdpSender, encode_class
+from .protocol import CLASS_SYMBOLS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender
 from .signals import PhysioSample
 from .sim import SimStep, iter_steps, serialize_trace
 
@@ -44,7 +45,7 @@ def iter_wearable(
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
 ) -> Iterator[WindowDecision]:
-    """For each window of `iter_decisions(samples, ladder)`: send its byte if decided, log it, yield it.
+    """For each window of `iter_decisions(samples, ladder)`: send its symbol (ABSENT if undecided), log it, yield it.
 
     A failed send leaves `byte_sent` None, beside the sender's warning. Ctrl-C during a send or
     log write stops the wearable after that window, which is yielded exactly when it was logged.
@@ -53,8 +54,8 @@ def iter_wearable(
     with _open_log(log_path) as log_file, UdpSender(endpoint) as sender, closing(decisions):
         with suppress(KeyboardInterrupt):  # in a send, the INFO line or a decision: stop before this window
             for decision in decisions:
-                if decision.arousal is not None and sender.send_raw(payload := encode_class(decision.arousal)):
-                    decision.byte_sent = payload.decode("ascii")
+                if sender.send_symbol(symbol := CLASS_SYMBOLS.get(decision.arousal, InputSymbol.ABSENT)):
+                    decision.byte_sent = symbol.value
                 line = json.dumps(decision.record())
                 log.info("%s", line)
                 try:
@@ -126,8 +127,8 @@ def replay_script(
 ) -> list[SimStep]:
     """Run `run_benchtop` over real loopback UDP, sending tick k's datagram just before its poll.
 
-    Scripted ABSENT ticks send nothing, as do ticks in `drop_ticks` (loss in
-    flight); every other tick sends its symbol's own byte (UNRECOGNIZED: `X`).
+    Every tick not in `drop_ticks` (loss in flight) goes out through
+    `send_symbol`: ABSENT sends nothing and UNRECOGNIZED sends `X`.
     The returned steps carry the symbols as seen on the wire. The benchtop
     runs at `run_benchtop`'s default brownout budget.
     """
@@ -135,8 +136,8 @@ def replay_script(
     with UdpReceiver(EndpointConfig(port=0)) as receiver, UdpSender(EndpointConfig(port=receiver.port)) as sender:
         def send_next() -> bool:
             index, symbol = next(ticks)
-            if symbol is not InputSymbol.ABSENT and index not in (drop_ticks or ()):
-                sender.send_raw(symbol.value.encode("ascii"))
+            if index not in (drop_ticks or ()):
+                sender.send_symbol(symbol)
             return False
 
         return run_benchtop(receiver, tick_ms, max_ticks=len(script), should_stop=send_next)

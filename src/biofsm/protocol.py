@@ -1,9 +1,9 @@
 """One-byte UDP wire protocol between the wearable and benchtop nodes, whose two ends are UDP sockets.
 
-The wearable's `UdpSender` sends a single ASCII byte per decision: 'A', 'B' or 'C'. The benchtop's
-`UdpReceiver` turns each tick's datagrams into one input symbol with `collapse`: the newest wins, so a
-tick shows the latest report rather than the backlog, and a tick with none is ABSENT. Decoding is total:
-any unexpected payload (wrong byte, wrong length, empty datagram) is UNRECOGNIZED rather than raising.
+Sending is `UdpSender.send_symbol`: a symbol's value as one ASCII byte, or nothing for ABSENT. The benchtop's
+`UdpReceiver` reads each tick's datagrams back into one input symbol with `collapse`, `send_symbol`'s inverse:
+the newest wins, so a tick shows the latest report rather than the backlog, and a tick with none is ABSENT.
+Decoding is total: any other payload (wrong byte, wrong length, empty datagram) is UNRECOGNIZED, never raising.
 Both ends subclass `socket.socket`, as `ssl.SSLSocket` does, so `close` and `with` are the socket's own.
 """
 
@@ -42,13 +42,7 @@ CLASS_SYMBOLS = {
     ArousalClass.HIGH: InputSymbol.VALID_C,
 }
 
-PAYLOADS = {symbol: symbol.value.encode("ascii") for symbol in CLASS_SYMBOLS.values()}
-_DECODED = {payload: symbol for symbol, payload in PAYLOADS.items()}
-
-
-def encode_class(arousal: ArousalClass) -> bytes:
-    """Encode an arousal class as its one-byte payload."""
-    return PAYLOADS[CLASS_SYMBOLS[arousal]]
+_DECODED = {symbol.value.encode("ascii"): symbol for symbol in CLASS_SYMBOLS.values()}
 
 
 def collapse(payloads: Iterable[bytes]) -> InputSymbol:
@@ -76,7 +70,7 @@ class EndpointConfig:
 
 
 class UdpSender(socket.socket):
-    """Fire-and-forget datagram sender for the wearable node; of the socket's methods, callers use only `close`."""
+    """Fire-and-forget datagram sender; a node sends with `send_symbol`, and of the socket's methods uses `close`."""
 
     def __init__(self, config: EndpointConfig | None = None):
         super().__init__(socket.AF_INET, socket.SOCK_DGRAM)
@@ -90,6 +84,10 @@ class UdpSender(socket.socket):
         except OSError as exc:
             log.warning("send to %s:%d failed: %s", self.config.host, self.config.port, exc)
             return False
+
+    def send_symbol(self, symbol: InputSymbol) -> bool:
+        """Send `symbol` as the one byte `collapse` reads back; ABSENT sends nothing and returns False."""
+        return symbol is not InputSymbol.ABSENT and self.send_raw(symbol.value.encode("ascii"))
 
 
 class UdpReceiver(socket.socket):

@@ -14,7 +14,7 @@ import pytest
 from biofsm import cli
 from biofsm.cli import ConfigError, NodeConfig, _load_or_default, build_parser, main, resolve_log_path
 from biofsm.fsm import DEFAULT_BROWNOUT_TICKS
-from biofsm.protocol import InputSymbol
+from biofsm.protocol import EndpointConfig, InputSymbol, UdpSender
 from biofsm.sim import run_simulation, serialize_trace
 
 
@@ -535,68 +535,42 @@ def test_wearable_trace_replay(tmp_path):
     assert all(r["arousal"] == "MILD" for r in read_jsonl(log))
 
 
-def test_benchtop_ticks_and_browns_out(tmp_path):
-    port = free_udp_port()
+def feed_benchtop(monkeypatch, payloads):
+    """Make the `benchtop` verb send tick k's payload (None: nothing) just before its poll, as `replay_script` does."""
+    real_run_benchtop = cli.run_benchtop
+
+    def fed(receiver, **settings):
+        ticks = iter(payloads)
+        with UdpSender(EndpointConfig(port=receiver.port)) as sender:
+            def send_next():
+                if (payload := next(ticks)) is not None:
+                    sender.send_raw(payload)
+                return False
+
+            return real_run_benchtop(receiver, should_stop=send_next, **settings)
+
+    monkeypatch.setattr(cli, "run_benchtop", fed)
+
+
+def test_benchtop_ticks_and_browns_out(tmp_path, monkeypatch, capsys):
+    # A few C bytes across the first ticks, then quiet past the 4-tick budget.
     log = tmp_path / "benchtop.jsonl"
-    done = {}
-
-    def run():
-        done["code"] = main(
-            [
-                "benchtop",
-                "--port", str(port),
-                "--tick-ms", "25",
-                "--max-ticks", "16",
-                "--brownout-ticks", "4",
-                "--log", str(log),
-            ]
-        )
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
-        # burst a few C bytes across the first ticks, then go quiet
-        for _ in range(6):
-            sender.sendto(b"C", ("127.0.0.1", port))
-            time.sleep(0.02)
-    thread.join(timeout=10.0)
-    assert not thread.is_alive()
-    assert done["code"] == 0
-    records = read_jsonl(log)
-    assert len(records) == 16
-    assert any(r["input"] == "C" and r["state"] == "HIGH" for r in records)
-    assert records[-1]["state"] == "BROWNOUT"
-    assert records[-1]["color"] == [255, 0, 255]
-    assert_simulator_agrees(log, brownout_ticks=4)
+    feed_benchtop(monkeypatch, [b"C"] * 6 + [None] * 10)
+    argv = ["benchtop", "--port", "0", "--tick-ms", "10", "--max-ticks", "16", "--brownout-ticks", "4"]
+    assert main([*argv, "--log", str(log)]) == 0
+    assert capsys.readouterr().out == "benchtop: 16 ticks processed\n"
+    script = [InputSymbol.VALID_C] * 6 + [InputSymbol.ABSENT] * 10
+    assert log.read_text() == serialize_trace(run_simulation(script, 4))
+    assert [r["state"] for r in read_jsonl(log)] == ["HIGH"] * 9 + ["BROWNOUT"] * 7
 
 
-def test_benchtop_flags_garbage_input(tmp_path):
-    port = free_udp_port()
+def test_benchtop_flags_garbage_input(tmp_path, monkeypatch):
     log = tmp_path / "benchtop.jsonl"
-    done = {}
-
-    def run():
-        done["code"] = main(
-            [
-                "benchtop",
-                "--port", str(port),
-                "--tick-ms", "25",
-                "--max-ticks", "8",
-                "--log", str(log),
-            ]
-        )
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
-        for _ in range(4):
-            sender.sendto(b"hello", ("127.0.0.1", port))
-            time.sleep(0.02)
-    thread.join(timeout=10.0)
-    assert done["code"] == 0
-    records = read_jsonl(log)
-    assert any(r["input"] == "X" and r["state"] == "INVALID" for r in records)
-    assert_simulator_agrees(log)
+    feed_benchtop(monkeypatch, [b"hello"] * 4 + [None] * 4)
+    assert main(["benchtop", "--port", "0", "--tick-ms", "10", "--max-ticks", "8", "--log", str(log)]) == 0
+    script = [InputSymbol.UNRECOGNIZED] * 4 + [InputSymbol.ABSENT] * 4  # b"hello" reads as X
+    assert log.read_text() == serialize_trace(run_simulation(script))
+    assert [r["state"] for r in read_jsonl(log)] == ["INVALID"] * 8
 
 
 def test_log_dir_env_is_honored(tmp_path, monkeypatch):

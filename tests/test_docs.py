@@ -2,9 +2,10 @@ import json
 import re
 from pathlib import Path
 
-from biofsm import classifier, signals
+from biofsm import classifier, fsm, signals
 from biofsm.cli import main
-from biofsm.protocol import InputSymbol
+from biofsm.fsm import ACTUATION, BenchState, Tone
+from biofsm.protocol import CLASS_SYMBOLS, InputSymbol
 from biofsm.sim import run_simulation, serialize_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,3 +52,18 @@ def test_every_tuning_constant_the_readme_names_exists():
     names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", section))
     assert len(names) >= 14
     assert [n for n in sorted(names) if not (hasattr(classifier, n) or hasattr(signals, n))] == []
+
+
+def test_readme_state_table_is_the_machine_s_correspondence():
+    head = README.read_text(encoding="utf-8").split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\w+) +\| (.+?) +\| \w+ \((\d+), (\d+), (\d+)\) +\| (\w+) +\|$", head, re.M)
+    assert [BenchState[name] for name, *_ in rows] == list(ACTUATION)
+    inputs = {}
+    for name, cell, r, g, b, tone in rows:
+        state = BenchState[name]
+        assert ACTUATION[state].color == (int(r), int(g), int(b))
+        assert ACTUATION[state].tone is (Tone.SILENT if tone == "silent" else Tone[tone])
+        inputs[state] = cell
+    for symbol in CLASS_SYMBOLS.values():  # a class byte moves to its own state
+        assert inputs.pop(fsm._TARGETS[symbol]) == f"`{symbol.value}`"
+    assert inputs == {BenchState.INVALID: "anything else", BenchState.BROWNOUT: "(silence)"}

@@ -1,10 +1,12 @@
 import copy
 import itertools
+import math
 import pickle
 import re
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from biofsm.fsm import (
 )
 from biofsm import fsm, sim
 from biofsm.cli import main
-from biofsm.protocol import PAYLOADS, InputSymbol
+from biofsm.protocol import InputSymbol, UdpSender
 
 VALID = (InputSymbol.VALID_A, InputSymbol.VALID_B, InputSymbol.VALID_C)
 TARGETS = {
@@ -74,12 +76,17 @@ def test_unrecognized_does_not_lift_a_brownout():
     "origin", [BenchState.NORMAL, BenchState.MILD, BenchState.HIGH, BenchState.INVALID]
 )
 def test_brownout_fires_on_the_tenth_silent_tick(origin):
+    check_brownout_fires_on_the_tenth_silent_tick(origin)
+
+
+def check_brownout_fires_on_the_tenth_silent_tick(origin):
+    """`fsm.tick` from `origin` holds it for 9 silent ticks, counting each, and browns out on the tenth."""
     runtime = FsmRuntime(origin)
     for expected_count in range(1, DEFAULT_BROWNOUT_TICKS):
-        runtime, _ = tick(runtime, InputSymbol.ABSENT)
+        runtime, _ = fsm.tick(runtime, InputSymbol.ABSENT)
         assert runtime.state is origin, f"left {origin} after only {expected_count} silent ticks"
         assert runtime.silence_ticks == expected_count
-    runtime, command = tick(runtime, InputSymbol.ABSENT)
+    runtime, command = fsm.tick(runtime, InputSymbol.ABSENT)
     assert runtime.state is BenchState.BROWNOUT
     assert command.color == (255, 0, 255)
 
@@ -453,7 +460,10 @@ def test_copied_and_unpickled_members_are_the_member_itself(member):
                 assert sim._STEPS[symbol, clone] is sim._STEPS[symbol, member]
         else:
             assert fsm._TARGETS.get(clone) is fsm._TARGETS.get(member)
-            assert PAYLOADS.get(clone) is PAYLOADS.get(member)
+            sent = []
+            wire = SimpleNamespace(send_raw=lambda payload: sent.append(payload) or True)
+            assert UdpSender.send_symbol(wire, clone) is UdpSender.send_symbol(wire, member)
+            assert sent[::2] == sent[1::2]  # sent as the member is, or not at all
             for state in BenchState:
                 assert sim._STEPS[clone, state] is sim._STEPS[member, state]
 
@@ -465,6 +475,13 @@ def test_copied_and_unpickled_members_are_the_member_itself(member):
         ((BenchState.MILD, -1, 10), "silence_ticks -1 outside 0-10"),
         ((BenchState.BROWNOUT, 4, 3), "silence_ticks 4 outside 0-3"),
         ((BenchState.NORMAL, 0, 0), "brownout_ticks must be >= 1"),
+        ((BenchState.NORMAL, 0, 2.5), "brownout_ticks must be an integer, got 2.5"),
+        ((BenchState.NORMAL, 0, math.inf), "brownout_ticks must be an integer, got inf"),
+        ((BenchState.NORMAL, 0, True), "brownout_ticks must be an integer, got True"),
+        ((BenchState.NORMAL, 0, 0.0), "brownout_ticks must be an integer, got 0.0"),
+        ((BenchState.NORMAL, 1.5, 10), "silence_ticks must be an integer, got 1.5"),
+        ((BenchState.NORMAL, False, 10), "silence_ticks must be an integer, got False"),
+        ((BenchState.NORMAL, 2.0, 10), "silence_ticks must be an integer, got 2.0"),
     ],
 )
 def test_every_way_of_building_a_runtime_validates_it(fields, message):

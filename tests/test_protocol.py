@@ -1,5 +1,6 @@
 import itertools
 import select
+import socket
 import time
 
 import pytest
@@ -13,16 +14,20 @@ from biofsm.protocol import (
     UdpReceiver,
     UdpSender,
     collapse,
-    encode_class,
 )
 
 
 def test_encode_one_byte_per_class():
-    assert encode_class(ArousalClass.NORMAL) == b"A"
-    assert encode_class(ArousalClass.MILD) == b"B"
-    assert encode_class(ArousalClass.HIGH) == b"C"
-    for cls in ArousalClass:
-        assert len(encode_class(cls)) == 1
+    assert "send_symbol" not in dir(socket.socket)  # a method of its own, shadowing none of the socket's
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as plain:
+        plain.bind(("127.0.0.1", 0))
+        plain.settimeout(1.0)
+        with UdpSender(EndpointConfig(port=plain.getsockname()[1])) as sender:
+            for cls, payload in zip(ArousalClass, [b"A", b"B", b"C"], strict=True):
+                assert sender.send_symbol(CLASS_SYMBOLS[cls])
+                assert plain.recv(16) == payload  # one byte, one datagram
+            assert sender.send_symbol(InputSymbol.UNRECOGNIZED)
+            assert plain.recv(16) == b"X"
 
 
 def test_decode_known_bytes():
@@ -39,9 +44,19 @@ def test_decode_everything_else_is_unrecognized(payload):
     assert collapse([payload]) is InputSymbol.UNRECOGNIZED
 
 
+def check_send_symbol_round_trips():
+    """`send_symbol` then a poll reads back each of the five symbols; ABSENT sends nothing and is False."""
+    with UdpReceiver(EndpointConfig(port=0)) as receiver, UdpSender(EndpointConfig(port=receiver.port)) as sender:
+        for symbol in InputSymbol:
+            sent = sender.send_symbol(symbol)
+            assert sent is (symbol is not InputSymbol.ABSENT)
+            if sent:  # queued, so a poll with no time left reads it
+                assert select.select([receiver], [], [], 1.0)[0]
+            assert receiver.poll_receive(time.monotonic() + 0.02) is symbol
+
+
 def test_decode_round_trip():
-    for cls in ArousalClass:
-        assert collapse([encode_class(cls)]) is CLASS_SYMBOLS[cls]
+    check_send_symbol_round_trips()
 
 
 @given(st.binary(max_size=64))
@@ -90,7 +105,7 @@ def test_loopback_delivery():
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         assert receiver.port != 0
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
-            assert sender.send_raw(encode_class(ArousalClass.HIGH))
+            assert sender.send_symbol(InputSymbol.VALID_C)
             assert receiver.poll_receive(time.monotonic() + 0.5) is InputSymbol.VALID_C
 
 
@@ -104,8 +119,8 @@ def test_poll_returns_absent_on_silence():
 def test_newest_datagram_wins_within_a_tick():
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
-            for cls in ArousalClass:
-                sender.send_raw(encode_class(cls))
+            for symbol in CLASS_SYMBOLS.values():
+                sender.send_symbol(symbol)
             assert receiver.poll_receive(time.monotonic() + 0.3) is InputSymbol.VALID_C
         # the backlog was drained, nothing left for the next tick
         assert receiver.poll_receive(time.monotonic() + 0.05) is InputSymbol.ABSENT
@@ -144,7 +159,7 @@ def test_oversized_send_is_dropped_not_raised():
 def test_a_poll_with_no_time_left_still_drains_once(timeout_s):
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         with UdpSender(EndpointConfig(port=receiver.port)) as sender:
-            sender.send_raw(encode_class(ArousalClass.MILD))
+            sender.send_symbol(InputSymbol.VALID_B)
             # Loopback delivery is not instant; a generous poll proves the
             # datagram is queued without reading it.
             assert select.select([receiver], [], [], 1.0)[0]

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biofsm import sim
 from biofsm.classifier import ArousalClass
@@ -103,17 +103,39 @@ def script_texts(draw):
     return text
 
 
+def parse_outcome(parse, text):
+    """What `parse` makes of `text`: its symbols, or the message of the ScriptError it raises."""
+    try:
+        return parse(text)
+    except ScriptError as exc:
+        return str(exc)
+
+
+def check_parse_script_agrees_with_its_reference(text):
+    assert parse_outcome(sim.parse_script, text) == parse_outcome(reference_parse_script, text)
+
+
+# Scripts on which a plausible slip in `parse_script` differs from the reference:
+# a padded token, a comment not ending in "#", a bad first line, and many bad
+# lines in both orders, so naming some bad line other than the first shows.
+WITNESSES = [
+    "A\n B\n",
+    "# note\nA\n",
+    "Q\nA\n",
+    "".join(f"Q{i}\n" for i in range(50)),
+    "".join(f"Q{i}\n" for i in reversed(range(50))),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(script_texts())
+@example(WITNESSES[0])
+@example(WITNESSES[1])
+@example(WITNESSES[2])
+@example(WITNESSES[3])
+@example(WITNESSES[4])
 def test_parse_script_agrees_with_its_reference(text):
-    try:
-        expected = reference_parse_script(text)
-    except ScriptError as exc:
-        with pytest.raises(ScriptError) as caught:
-            parse_script(text)
-        assert str(caught.value) == str(exc)
-    else:
-        assert parse_script(text) == expected
+    check_parse_script_agrees_with_its_reference(text)
 
 
 def test_simulation_tracks_valid_inputs():
