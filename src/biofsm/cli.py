@@ -142,11 +142,11 @@ def resolve_log_path(explicit: str | None, role: str) -> Path | None:
     An absolute --log wins outright. A relative --log lands inside
     $BIOFSM_LOG_DIR when that is set. With no --log at all, setting
     $BIOFSM_LOG_DIR turns on logging to <dir>/<role>.jsonl; otherwise no
-    log file is written.
+    log file is written. A leading `~` in either is home, which no shell expands in JSON.
     """
-    env_dir = os.environ.get(LOG_DIR_ENV)
+    env_dir = os.path.expanduser(os.environ.get(LOG_DIR_ENV, ""))
     if explicit:
-        path = Path(explicit)
+        path = Path(os.path.expanduser(explicit))
         if not path.is_absolute() and env_dir:
             return Path(env_dir) / path
         return path
@@ -172,7 +172,7 @@ def _load_or_default(args: argparse.Namespace, role: str) -> NodeConfig:
 
 def _wearable_samples(config: NodeConfig):
     if config.trace_path is not None:
-        return load_trace(config.trace_path)
+        return load_trace(os.path.expanduser(config.trace_path))
     profile = SignalProfile(
         bpm_start=config.bpm[0],
         bpm_end=config.bpm[1],

@@ -36,18 +36,17 @@ REPORTED_AVERAGE = 41.0
 
 
 def load_table3(path: str | Path | None = None) -> list[TraceRecord]:
-    """Load the study fixture CSV; the packaged copy is used by default."""
-    if path is None:
-        source = resources.files("biofsm").joinpath("data/table3.csv")
-        return _parse_table3(source.read_text(encoding="utf-8"))
+    """Load the study fixture CSV, the packaged copy by default; an error names the file as the caller gave it."""
+    source = resources.files("biofsm").joinpath("data/table3.csv") if path is None else Path(path)
+    name = source if path is None else path
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = source.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read fixture {path}: {exc}") from None
+        raise ValueError(f"cannot read fixture {name}: {exc}") from None
     try:
         return _parse_table3(text)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _parse_table3(text: str) -> list[TraceRecord]:

@@ -77,6 +77,8 @@ class FsmRuntime(namedtuple("FsmRuntime", "state silence_ticks brownout_ticks"))
     def __new__(
         cls, state: BenchState = BenchState.NORMAL, silence_ticks: int = 0, brownout_ticks: int = DEFAULT_BROWNOUT_TICKS
     ) -> FsmRuntime:
+        if not isinstance(state, BenchState):
+            raise ValueError(f"state must be a BenchState, got {state!r}")
         for name, value in (("brownout_ticks", brownout_ticks), ("silence_ticks", silence_ticks)):
             if isinstance(value, bool) or not isinstance(value, int):  # as NodeConfig: bool is no count
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -105,7 +107,10 @@ def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, Actuatio
         # but only a valid byte may lift a brownout.
         state = runtime.state if runtime.state is _BROWNOUT else _INVALID
     else:
-        state = _TARGETS[symbol]
+        try:
+            state = _TARGETS[symbol]
+        except KeyError:
+            raise ValueError(f"input {symbol!r} is not an InputSymbol") from None
     return tuple.__new__(FsmRuntime, (state, silence, runtime.brownout_ticks)), ACTUATION[state]
 
 

@@ -1,8 +1,8 @@
 """Runnable node loops: wearable sender and benchtop receiver.
 
 Each node logs one JSON line per unit of work at INFO (`-v` prints it) and
-appends it to a session log when a log path is given: the wearable per
-closed window, the benchtop per tick. `replay_script` sends a tick script
+writes it to its session log, the null device when no log path is given:
+the wearable per closed window, the benchtop per tick. `replay_script` sends a tick script
 over loopback UDP to the benchtop's own loop, one datagram per tick;
 `wearable --duplex` sends one `iter_wearable` window per tick the same way.
 Every send is `UdpSender.send_symbol`, which `protocol.collapse` reads back.
@@ -14,9 +14,10 @@ import itertools
 import json
 import logging
 import math
+import os
 import threading
 import time
-from contextlib import AbstractContextManager, closing, nullcontext, suppress
+from contextlib import closing, suppress
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -30,10 +31,8 @@ log = logging.getLogger(__name__)
 DEFAULT_TICK_MS = 50.0  # one tick of wall time on the live and wire paths
 
 
-def _open_log(path: str | Path | None) -> AbstractContextManager[IO[str] | None]:
-    if path is None:
-        return nullcontext()
-    p = Path(path)
+def _open_log(path: str | Path | None) -> IO[str]:
+    p = Path(path or os.devnull)
     p.parent.mkdir(parents=True, exist_ok=True)
     # Line-buffered, so a killed node leaves every finished line and no partial one.
     return open(p, "w", buffering=1, encoding="utf-8")
@@ -59,8 +58,7 @@ def iter_wearable(
                 line = json.dumps(decision.record())
                 log.info("%s", line)
                 try:
-                    if log_file is not None:
-                        log_file.write(line + "\n")
+                    log_file.write(line + "\n")
                 except KeyboardInterrupt:  # raised as the write returns, so the line is logged: yield it, then stop
                     decisions.close()
                 yield decision
@@ -112,8 +110,7 @@ def run_benchtop(
                 # returns, so `steps` and the log still hold the same ticks.
                 steps.append(step)
                 line = serialize_trace((step,), k)
-                if log_file is not None:
-                    log_file.write(line)
+                log_file.write(line)
                 log.info("%s", line[:-1])
         except KeyboardInterrupt:
             log.info("benchtop interrupted, stopping")

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biofsm.classifier import (
     GSR_RANGE,
@@ -290,9 +290,7 @@ INTERLEAVINGS = st.tuples(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(INTERLEAVINGS)
-def test_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving):
+def check_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving):
     lead, items = interleaving
     stream, k, t_gsr = [], 0, 0.0
     for item in [None] * lead + items:
@@ -318,6 +316,22 @@ def test_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving)
             mean = sum(gsr[-GSR_WINDOW_SIZE:]) / GSR_WINDOW_SIZE
             expected.append(FeatureFrame(sample.timestamp_ms, 60000.0 / gap, mean))
     assert frames == expected  # gsr_us compared exactly
+
+
+# Each is also an @example of the property: beats with only 7 GSR samples in,
+# then beats after 9, the newest large, so the window's sum depends on its order.
+EXTRACTOR_WITNESSES = [
+    (0, [(1.0, float(v)) for v in range(7)] + [None] * 30),
+    (0, [(1.0, 0.1)] * 8 + [(1.0, 1000.0)] + [None] * 30),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(INTERLEAVINGS)
+@example(EXTRACTOR_WITNESSES[0])
+@example(EXTRACTOR_WITNESSES[1])
+def test_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving):
+    check_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving)
 
 
 # A clean 6 s session that the property below edits: long enough for beats,

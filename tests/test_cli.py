@@ -168,14 +168,57 @@ def test_every_demo_config_loads_for_its_verb():
         assert _load_or_default(args, path.stem) == NodeConfig.from_dict(json.loads(path.read_text()))
 
 
+def home_and_cwd(monkeypatch, tmp_path):
+    """Point HOME and the working directory at two fresh directories; return them."""
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    home.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(cwd)
+    return home, cwd
+
+
 def test_resolve_log_path(monkeypatch, tmp_path):
+    home, _ = home_and_cwd(monkeypatch, tmp_path)
     monkeypatch.delenv("BIOFSM_LOG_DIR", raising=False)
     assert resolve_log_path(None, "benchtop") is None
     assert resolve_log_path("/var/log/x.jsonl", "benchtop") == Path("/var/log/x.jsonl")
+    assert resolve_log_path("~/x.jsonl", "benchtop") == home / "x.jsonl"
     monkeypatch.setenv("BIOFSM_LOG_DIR", str(tmp_path))
     assert resolve_log_path(None, "benchtop") == tmp_path / "benchtop.jsonl"
     assert resolve_log_path("run.jsonl", "wearable") == tmp_path / "run.jsonl"
     assert resolve_log_path("/abs/override.jsonl", "wearable") == Path("/abs/override.jsonl")
+    assert resolve_log_path("~/x.jsonl", "wearable") == home / "x.jsonl"  # home is absolute: it wins
+    monkeypatch.setenv("BIOFSM_LOG_DIR", "~/logs")
+    assert resolve_log_path(None, "benchtop") == home / "logs" / "benchtop.jsonl"
+    assert resolve_log_path("run.jsonl", "wearable") == home / "logs" / "run.jsonl"
+
+
+@pytest.mark.parametrize("where", ["config", "env"])
+def test_a_tilde_in_a_config_log_or_the_log_dir_is_home(where, monkeypatch, tmp_path):
+    # The shell expands `~` in a flag, but not inside JSON or a quoted variable.
+    home, cwd = home_and_cwd(monkeypatch, tmp_path)
+    config = tmp_path / "b.json"
+    if where == "config":
+        monkeypatch.delenv("BIOFSM_LOG_DIR", raising=False)
+        config.write_text(json.dumps({"role": "benchtop", "log": "~/biofsm-logs/benchtop.jsonl"}))
+    else:
+        monkeypatch.setenv("BIOFSM_LOG_DIR", "~/biofsm-logs")
+        config.write_text(json.dumps({"role": "benchtop"}))
+    argv = ["benchtop", "--config", str(config), "--port", "0", "--max-ticks", "2", "--tick-ms", "1"]
+    assert main(argv) == 0
+    log = home / "biofsm-logs" / "benchtop.jsonl"
+    assert log.read_text() == serialize_trace(run_simulation([InputSymbol.ABSENT] * 2))  # nothing is sent
+    assert list(cwd.iterdir()) == []  # no `~` directory
+
+
+def test_a_tilde_in_a_config_trace_path_is_home(monkeypatch, tmp_path, capsys):
+    home, _ = home_and_cwd(monkeypatch, tmp_path)
+    (home / "s.csv").write_text("timestamp_ms,channel,value\n")
+    config = tmp_path / "w.json"
+    config.write_text(json.dumps({"role": "wearable", "trace_path": "~/s.csv", "port": free_udp_port()}))
+    assert main(["wearable", "--config", str(config)]) == 0
+    assert capsys.readouterr() == ("wearable: 0 windows closed, 0 bytes sent\n", "")
 
 
 def test_simulate_prints_a_trace(tmp_path, capsys):

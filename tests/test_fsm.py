@@ -482,15 +482,19 @@ def test_copied_and_unpickled_members_are_the_member_itself(member):
         ((BenchState.NORMAL, 1.5, 10), "silence_ticks must be an integer, got 1.5"),
         ((BenchState.NORMAL, False, 10), "silence_ticks must be an integer, got False"),
         ((BenchState.NORMAL, 2.0, 10), "silence_ticks must be an integer, got 2.0"),
+        (("NORMAL", 0, 10), "state must be a BenchState, got 'NORMAL'"),
+        ((None, 0, 10), "state must be a BenchState, got None"),
+        ((InputSymbol.VALID_A, 0, 10), "state must be a BenchState, got <InputSymbol.VALID_A: 'A'>"),
+        (("NORMAL", -1, 0), "state must be a BenchState, got 'NORMAL'"),  # checked before the counters
     ],
 )
 def test_every_way_of_building_a_runtime_validates_it(fields, message):
     state, silence, budget = fields
-    valid = FsmRuntime(state)
+    valid = FsmRuntime()
     builds = [
         lambda: FsmRuntime(*fields),
         lambda: FsmRuntime(state=state, silence_ticks=silence, brownout_ticks=budget),
-        lambda: valid._replace(silence_ticks=silence, brownout_ticks=budget),
+        lambda: valid._replace(state=state, silence_ticks=silence, brownout_ticks=budget),
         lambda: FsmRuntime._make(fields),
     ]
     # tuple.__new__ is the one way round the constructor (`tick` builds its

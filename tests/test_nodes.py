@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 import math
+import os
 from contextlib import closing, nullcontext
 from dataclasses import replace
 from types import SimpleNamespace
@@ -79,6 +80,17 @@ def test_node_logs_are_line_buffered(tmp_path):
     with UdpReceiver(EndpointConfig(port=0)) as receiver:
         run_benchtop(receiver, tick_ms=1.0, log_path=benchtop_log, should_stop=should_stop)
     assert ticks_logged == [0, 1, 2, 3]
+
+
+def test_a_node_given_no_log_path_writes_its_lines_to_the_null_device(monkeypatch):
+    opened = []
+    open_log = nodes._open_log
+    monkeypatch.setattr(nodes, "_open_log", lambda path: opened.append(open_log(path)) or opened[-1])
+    samples = synth_physio(SignalProfile(bpm_start=70.0, gsr_start_us=17.5), 20_000, seed=1)
+    assert len(run_wearable(samples, endpoint=EndpointConfig(port=0))) == 2  # a full window and the partial one
+    with UdpReceiver(EndpointConfig(port=0)) as receiver:
+        assert len(run_benchtop(receiver, tick_ms=1.0, max_ticks=2)) == 2
+    assert [(f.name, f.line_buffering, f.closed) for f in opened] == [(os.devnull, True, True)] * 2
 
 
 def test_the_benchtop_log_is_the_trace_of_the_steps_it_returns(tmp_path, monkeypatch, caplog):

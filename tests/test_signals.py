@@ -8,6 +8,7 @@ from statistics import median
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from biofsm import signals
 from biofsm.classifier import GSR_WINDOW_SIZE, FeatureExtractor
 from biofsm.signals import (
     DC_COEFFICIENT,
@@ -677,9 +678,28 @@ def load_outcome(load, path):
         return type(exc), str(exc)
 
 
+def check_the_loader_agrees_with_the_reference_loop(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert load_outcome(signals.load_trace, path) == load_outcome(reference_load_trace, path)
+
+
+# Each is also an @example of the property: a first timestamp of 0, a negative
+# one, a blank line, a bad row after a record spanning two lines, a repeated timestamp.
+LOADER_WITNESSES = [
+    "timestamp_ms,channel,value\n0.0,PPG,1.0\n",
+    "timestamp_ms,channel,value\n-1.0,PPG,1.0\n",
+    "timestamp_ms,channel,value\n1.0,PPG,1.0\n\n2.0,GSR,1.0\n",
+    'timestamp_ms,channel,value\n"1.0\n",PPG,1.0\n2.0,PPG,x\n',
+    "timestamp_ms,channel,value\n1.0,PPG,1.0\n1.0,PPG,2.0\n",
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(trace_texts())
+@example(LOADER_WITNESSES[0])
+@example(LOADER_WITNESSES[1])
+@example(LOADER_WITNESSES[2])
+@example(LOADER_WITNESSES[3])
+@example(LOADER_WITNESSES[4])
 def test_the_loader_agrees_with_the_reference_loop(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "generated.csv"
-    path.write_bytes(text.encode("utf-8"))
-    assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
+    check_the_loader_agrees_with_the_reference_loop(tmp_path_factory.getbasetemp() / "generated.csv", text)

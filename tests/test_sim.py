@@ -3,12 +3,16 @@ import gc
 import itertools
 import json
 import random
+import re
 import tracemalloc
+import zipfile
+from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from biofsm import sim
+from biofsm import evaluate, sim
 from biofsm.classifier import ArousalClass
 from biofsm.evaluate import TraceRecord, evaluate_table3, load_table3, render_report
 from biofsm.fsm import ACTUATION, DEFAULT_BROWNOUT_TICKS, BenchState, FsmRuntime, tick, verify_determinism
@@ -159,6 +163,12 @@ def test_simulation_nine_absences_do_not_brown_out():
 
 def test_empty_script_is_a_noop():
     assert run_simulation([]) == []
+
+
+@pytest.mark.parametrize("bad", ["A", None, 1], ids=repr)
+def test_a_script_entry_that_is_no_input_symbol_is_named(bad):
+    with pytest.raises(ValueError, match=f"^input {re.escape(repr(bad))} is not an InputSymbol$"):
+        run_simulation([A, bad])
 
 
 def test_initial_state_is_configurable():
@@ -482,6 +492,33 @@ def test_fixture_loader_rejects_garbage(tmp_path):
     path.write_text("c,i,s,p\n")
     with pytest.raises(ValueError, match="header"):
         load_table3(path)
+
+
+def test_the_bundled_fixture_is_read_and_named_like_a_given_file(tmp_path, monkeypatch):
+    # A zipped install serves the fixture as a zipfile.Path, which `pathlib.Path` cannot open.
+    archive = tmp_path / "biofsm.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("biofsm/data/table3.csv", (resources.files("biofsm") / "data/table3.csv").read_bytes())
+        zf.writestr("header/data/table3.csv", "c,i,s,p\n")
+        zf.writestr("bytes/data/table3.csv", b"\xff\n")
+    bundled = load_table3()
+
+    def install(package):
+        monkeypatch.setattr(evaluate, "resources", SimpleNamespace(files=lambda _: zipfile.Path(archive, package)))
+
+    for package, message in [("header/", "{}: fixture header must be clip,interval,self_report,predicted"),
+                             ("bytes/", "cannot read fixture {}: 'utf-8' codec can't decode")]:
+        install(package)
+        source = zipfile.Path(archive, package + "data/table3.csv")
+        with pytest.raises(ValueError, match="^" + re.escape(message.format(source))):
+            load_table3()
+    install("biofsm/")
+    assert load_table3() == bundled
+    # A given path is named exactly as given, not as pathlib would normalise it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("c,i,s,p\n")
+    with pytest.raises(ValueError, match=r"^\./\./bad\.csv: fixture header"):
+        load_table3("././bad.csv")
 
 
 def test_wire_replay_matches_the_virtual_clock():
