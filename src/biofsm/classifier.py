@@ -184,14 +184,15 @@ class FeatureExtractor:
     Heart rate is 60000 / the latest inter-beat gap, skin conductance the
     uniform mean of the last GSR_WINDOW_SIZE GSR samples at the beat. Frames
     start once the first gap exists and that many GSR samples have arrived.
-    GSR timestamps must strictly increase. A sample whose value or timestamp
-    is not finite is skipped and counted in `non_finite`.
+    GSR timestamps must exceed `gsr_timestamp_ms`, a floor of -inf at first.
+    A sample whose value or timestamp is not finite is skipped and counted
+    in `non_finite`.
     """
 
     def __init__(self):
         self.detector = BeatDetector()
         self.gsr_window: deque[float] = deque(maxlen=GSR_WINDOW_SIZE)
-        self.gsr_timestamp_ms: float | None = None
+        self.gsr_timestamp_ms: float = -math.inf
         self.non_finite = 0
 
     def add(self, sample: PhysioSample) -> FeatureFrame | None:
@@ -200,7 +201,7 @@ class FeatureExtractor:
             return None
         if sample.channel is _GSR:
             last = self.gsr_timestamp_ms
-            if last is not None and sample.timestamp_ms <= last:
+            if sample.timestamp_ms <= last:
                 raise SampleOrderError(f"GSR timestamp {sample.timestamp_ms} not after {last}")
             self.gsr_timestamp_ms = sample.timestamp_ms
             self.gsr_window.append(sample.value)

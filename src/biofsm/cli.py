@@ -20,7 +20,6 @@ import logging
 import os
 import signal
 import sys
-import threading
 from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -317,9 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    # SIGTERM stops a node as Ctrl-C does, for this call only; only the main thread may set a handler.
-    in_main_thread = threading.current_thread() is threading.main_thread()
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if in_main_thread else None
+    # SIGTERM stops a node as Ctrl-C does, for this call only; setting a handler needs the main thread.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -331,8 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if in_main_thread:
-            signal.signal(signal.SIGTERM, previous)
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def tick(runtime: FsmRuntime, symbol: InputSymbol) -> tuple[FsmRuntime, Actuatio
     else:
         try:
             state = _TARGETS[symbol]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: unhashable
             raise ValueError(f"input {symbol!r} is not an InputSymbol") from None
     return tuple.__new__(FsmRuntime, (state, silence, runtime.brownout_ticks)), ACTUATION[state]
 

@@ -19,7 +19,7 @@ import threading
 import time
 from contextlib import closing, suppress
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
 from .classifier import LadderConfig, WindowDecision, iter_decisions
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
@@ -80,19 +80,18 @@ def run_benchtop(
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS,
     log_path: str | Path | None = None,
     max_ticks: int | None = None,
-    should_stop: Callable[[], bool] | None = None,
+    should_stop: Callable[[], bool] = bool,
 ) -> list[SimStep]:
     """Tick the actuation machine against live datagrams until stopped.
 
-    The caller binds `receiver` and closes it; settings are checked before
-    the log is opened. The schedule is fixed-rate: tick k ends at
-    t0 + (k+1)·tick_ms, where t0 is when ticking starts; a late tick polls
-    for 0 s and the loop catches up. A tick with nothing received is ABSENT,
-    so silence counts in ticks of wall time. Stops after `max_ticks`, when
-    `should_stop` (called just before each tick's poll) turns true, or on
-    Ctrl-C at any point of a tick. Each tick's shared step (8 B) is returned;
-    its line `serialize_trace((step,), tick)` is logged at INFO and written,
-    so the log is `serialize_trace(steps)` by construction.
+    The caller binds `receiver` and closes it; settings are checked before the log is
+    opened. The schedule is fixed-rate: tick k ends at t0 + (k+1)·tick_ms, where t0 is when
+    ticking starts; a late tick polls for 0 s and the loop catches up. A tick with nothing
+    received is ABSENT, so silence counts in ticks of wall time. Stops after `max_ticks`
+    (None: no limit), when `should_stop` (called just before each tick's poll; the default,
+    `bool`, returns False) turns true, or on Ctrl-C at any point of a tick. Each tick's shared
+    step (8 B) is returned; its line `serialize_trace((step,), tick)` is logged at INFO and
+    written, so the log is `serialize_trace(steps)` by construction.
     """
     if not (math.isfinite(tick_ms) and tick_ms > 0):
         raise ValueError(f"tick_ms must be finite and positive, got {tick_ms!r}")
@@ -120,7 +119,7 @@ def run_benchtop(
 def replay_script(
     script: Sequence[InputSymbol],
     tick_ms: float = DEFAULT_TICK_MS,
-    drop_ticks: set[int] | None = None,
+    drop_ticks: Collection[int] = (),
 ) -> list[SimStep]:
     """Run `run_benchtop` over real loopback UDP, sending tick k's datagram just before its poll.
 
@@ -133,7 +132,7 @@ def replay_script(
     with UdpReceiver(EndpointConfig(port=0)) as receiver, UdpSender(EndpointConfig(port=receiver.port)) as sender:
         def send_next() -> bool:
             index, symbol = next(ticks)
-            if index not in (drop_ticks or ()):
+            if index not in drop_ticks:
                 sender.send_symbol(symbol)
             return False
 
@@ -144,12 +143,12 @@ def _received(
     receiver: UdpReceiver,
     tick_ms: float,
     max_ticks: int | None,
-    should_stop: Callable[[], bool] | None,
+    should_stop: Callable[[], bool],
 ) -> Iterator[InputSymbol]:
     """One symbol per tick until `max_ticks` or `should_stop`; tick k polls until t0 + (k+1)·tick."""
     tick_s = tick_ms / 1000.0
     t0 = time.monotonic()
-    for k in itertools.count() if max_ticks is None else range(max_ticks):
-        if should_stop is not None and should_stop():
+    for k in itertools.islice(itertools.count(), max_ticks):
+        if should_stop():
             return
         yield receiver.poll_receive(t0 + (k + 1) * tick_s)

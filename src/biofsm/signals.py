@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 
 class Channel(str, Enum):
+    __str__ = str.__str__  # str() and f-strings give the name on every Python, as for ArousalClass
     PPG = "PPG"
     GSR = "GSR"
 
@@ -72,13 +73,14 @@ class BeatDetector:
     AC peaks. Two guards prevent double counting: a refractory period after
     each accepted beat, and a re-arm rule requiring the AC value to fall back
     below baseline between beats. The tuning is the module constants above.
+    Every timestamp must exceed `last_timestamp_ms`, a floor of -inf at first.
     """
 
     def __init__(self):
         self.dc_estimate: float | None = None
         self.envelope: float = 0.0
         self.last_crossing_ms: float | None = None
-        self.last_timestamp_ms: float | None = None
+        self.last_timestamp_ms: float = -math.inf
         self._armed: bool = True
 
     def step(self, sample: PhysioSample) -> float | None:
@@ -87,10 +89,7 @@ class BeatDetector:
             raise ValueError(f"beat detector expects PPG samples, got {sample.channel}")
         timestamp = sample.timestamp_ms
         last_timestamp = self.last_timestamp_ms
-        if last_timestamp is None:
-            if math.isnan(timestamp):  # a stored NaN would let every later timestamp through
-                raise SampleOrderError(f"PPG timestamp {timestamp} is not a number")
-        elif not timestamp > last_timestamp:
+        if not timestamp > last_timestamp:  # NaN fails too: stored, it would let any timestamp through
             raise SampleOrderError(f"PPG timestamp {timestamp} not after {last_timestamp}")
         self.last_timestamp_ms = timestamp
 

@@ -103,7 +103,10 @@ def iter_steps(symbols: Iterable[InputSymbol], brownout_ticks: int) -> Iterator[
     edges = edges_of[runtime] = {}
     try:
         for symbol in symbols:
-            hit = edges.get(symbol)
+            try:
+                hit = edges.get(symbol)
+            except TypeError:  # unhashable; `tick` names every other non-symbol the same way
+                raise ValueError(f"input {symbol!r} is not an InputSymbol") from None
             if hit is None:
                 if len(edges_of) >= MAX_CONFIGURATIONS:
                     for table in edges_of.values():

@@ -334,6 +334,23 @@ def test_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving)
     check_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving)
 
 
+def check_a_repeated_timestamp_is_refused(channel):
+    # PPG order is the detector's test, GSR order the extractor's; each starts from a floor of -inf.
+    extractor = FeatureExtractor()
+    extractor.add(PhysioSample(5.0, channel, 1000.0))
+    try:
+        extractor.add(PhysioSample(5.0, channel, 1000.0))
+    except SampleOrderError as exc:
+        assert str(exc) == f"{channel} timestamp 5.0 not after 5.0"
+    else:
+        raise AssertionError(f"a repeated {channel} timestamp was accepted")
+
+
+@pytest.mark.parametrize("channel", list(Channel), ids=str)
+def test_a_repeated_timestamp_is_refused(channel):
+    check_a_repeated_timestamp_is_refused(channel)
+
+
 # A clean 6 s session that the property below edits: long enough for beats,
 # a warm GSR window and a few 2 s windows.
 SESSION = [

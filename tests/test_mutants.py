@@ -19,7 +19,12 @@ from biofsm import fsm, signals, sim
 from biofsm.classifier import FeatureExtractor
 from biofsm.fsm import BenchState, verify_determinism
 from biofsm.protocol import UdpSender
-from test_classifier import EXTRACTOR_WITNESSES, check_extractor_frames_average_the_gsr_samples_before_each_beat
+from biofsm.signals import BeatDetector, Channel
+from test_classifier import (
+    EXTRACTOR_WITNESSES,
+    check_a_repeated_timestamp_is_refused,
+    check_extractor_frames_average_the_gsr_samples_before_each_beat,
+)
 from test_fsm import check_brownout_fires_on_the_tenth_silent_tick
 from test_protocol import check_send_symbol_round_trips
 from test_signals import LOADER_WITNESSES, check_the_loader_agrees_with_the_reference_loop
@@ -102,6 +107,25 @@ def test_an_extractor_mutant_misaverages_the_gsr_window(method, old, new, monkey
     with pytest.raises(AssertionError):
         for interleaving in EXTRACTOR_WITNESSES:
             check_extractor_frames_average_the_gsr_samples_before_each_beat(interleaving)
+
+
+ORDER_MUTANTS = {  # channel, class, method, snippet -> the slip
+    "detector-accepts-a-repeat": (
+        Channel.PPG, BeatDetector, "step", "not timestamp > last_timestamp", "not timestamp >= last_timestamp"
+    ),
+    "extractor-accepts-a-repeat": (
+        Channel.GSR, FeatureExtractor, "add", "sample.timestamp_ms <= last", "sample.timestamp_ms < last"
+    ),
+}
+
+
+@pytest.mark.parametrize("channel, cls, method, old, new", ORDER_MUTANTS.values(), ids=ORDER_MUTANTS)
+def test_an_order_mutant_accepts_a_repeated_timestamp(channel, cls, method, old, new, monkeypatch):
+    # Caught by test_classifier.py::test_a_repeated_timestamp_is_refused.
+    check_a_repeated_timestamp_is_refused(channel)
+    monkeypatch.setattr(cls, method, edited(getattr(cls, method), old, new))
+    with pytest.raises(AssertionError):
+        check_a_repeated_timestamp_is_refused(channel)
 
 
 LOADER_MUTANTS = {  # snippet -> the slip

@@ -243,7 +243,7 @@ def test_detector_steps_like_the_reference(start_ms, steps):
 
 
 def test_detector_rejects_gsr_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^beat detector expects PPG samples, got GSR$"):
         BeatDetector().step(PhysioSample(0.0, Channel.GSR, 5.0))
 
 
@@ -268,13 +268,24 @@ def test_detector_rejects_a_nan_timestamp():
         assert detector_state(detector) == accepted
     assert detector.last_crossing_ms is None
 
+    # A first NaN fails the same test against the floor a fresh detector starts from.
     first = BeatDetector()
     fresh = detector_state(first)
     with pytest.raises(SampleOrderError) as excinfo:
         first.step(PhysioSample(nan, Channel.PPG, 1000.0))
-    assert str(excinfo.value) == "PPG timestamp nan is not a number"
-    assert first.last_timestamp_ms is None
+    assert str(excinfo.value) == "PPG timestamp nan not after -inf"
+    assert first.last_timestamp_ms == -math.inf
     assert detector_state(first) == fresh
+
+
+def test_detector_refuses_a_first_minus_inf_timestamp():
+    # Stored, -inf would let any later timestamp through, as a NaN would.
+    detector = BeatDetector()
+    fresh = detector_state(detector)
+    with pytest.raises(SampleOrderError) as excinfo:
+        detector.step(PhysioSample(-math.inf, Channel.PPG, 1000.0))
+    assert str(excinfo.value) == "PPG timestamp -inf not after -inf"
+    assert detector_state(detector) == fresh
 
 
 def test_smoother_uniform_mean_is_exact():

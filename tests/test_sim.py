@@ -165,10 +165,23 @@ def test_empty_script_is_a_noop():
     assert run_simulation([]) == []
 
 
-@pytest.mark.parametrize("bad", ["A", None, 1], ids=repr)
+@pytest.mark.parametrize("bad", ["A", None, 1, [], {}], ids=repr)
 def test_a_script_entry_that_is_no_input_symbol_is_named(bad):
-    with pytest.raises(ValueError, match=f"^input {re.escape(repr(bad))} is not an InputSymbol$"):
-        run_simulation([A, bad])
+    named = f"^input {re.escape(repr(bad))} is not an InputSymbol$"
+    for script in ([A, bad], [bad]):
+        with pytest.raises(ValueError, match=named):
+            run_simulation(script)
+    with pytest.raises(ValueError, match=named):
+        tick(FsmRuntime(), bad)
+
+
+def test_a_type_error_from_the_symbol_iterator_is_not_renamed():
+    def symbols():
+        yield A
+        raise TypeError("from the source")
+
+    with pytest.raises(TypeError, match="^from the source$"):
+        run_simulation(symbols())
 
 
 def test_initial_state_is_configurable():
