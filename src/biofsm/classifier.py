@@ -2,11 +2,11 @@
 
 Each beat yields a feature frame: heart rate, and skin conductance smoothed
 by the mean of the last GSR_WINDOW_SIZE samples, read at the beat so both
-features stay synchronized to the heartbeat. Frames accumulate into fixed
-back-to-back windows; at each window boundary the frames vote through a
-two-band threshold ladder and the class with the most votes wins. Skin
-conductance casts more votes than heart rate. Frames outside the supported
-physiological range are dropped rather than clamped.
+features stay synchronized to the heartbeat. Frames accumulate into
+back-to-back 15 s windows (WINDOW_MS); at each boundary the frames vote
+through a two-band threshold ladder and the class with the most votes wins.
+Skin conductance casts more votes than heart rate. Frames outside the
+supported physiological range are dropped rather than clamped.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .signals import BeatDetector, Channel, PhysioSample, SampleOrderError
 log = logging.getLogger(__name__)
 _GSR = Channel.GSR  # bound once for the per-sample loop, as in signals
 
-DEFAULT_WINDOW_MS = 15000.0
+WINDOW_MS = 15000.0  # the length of the back-to-back windows frames vote in
 GSR_WINDOW_SIZE = 8  # GSR samples in the moving mean read at each beat
 
 
@@ -59,15 +59,8 @@ GSR_SPLITS = (15.0, 20.0)
 GSR_VOTES = 3
 
 
-@dataclass
 class LadderConfig:
-    """The window length frames vote in; band edges and votes are the constants above."""
-
-    window_ms: float = DEFAULT_WINDOW_MS
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.window_ms) and self.window_ms > 0):
-            raise ValueError(f"window_ms must be finite and positive, got {self.window_ms!r}")
+    """No setting: the window, band edges and votes are module constants. Only bench/replay.py builds one."""
 
 
 def _band(value: float, value_range: tuple[float, float], splits: tuple[float, float]) -> int | None:
@@ -117,8 +110,8 @@ def classify_window(
     Out-of-range frames are dropped. With no usable frames the window is
     undecidable and None is returned. Ties resolve to the lower class, i.e.
     the calmer interpretation wins. No byte is sent yet, so `byte_sent` is
-    None. `config` is unread, as the ladder is fixed; it stays because
-    bench/replay.py passes a LadderConfig there.
+    None. `config` is unread, as the window and ladder are fixed; it stays
+    because bench/replay.py passes a LadderConfig there.
     """
     votes = [0, 0, 0]
     used = []
@@ -145,20 +138,19 @@ class ClosedWindow:
 
 
 class WindowAccumulator:
-    """Partitions the feature stream into back-to-back fixed windows.
+    """Partitions the feature stream into back-to-back WINDOW_MS windows.
 
-    Window k covers [k*window_ms, (k+1)*window_ms). A frame landing past the
+    Window k covers [k*WINDOW_MS, (k+1)*WINDOW_MS). A frame landing past the
     current window closes it (and any empty windows in between) before being
     buffered. `flush` closes the trailing partial window at end of stream.
     """
 
-    def __init__(self, config: LadderConfig | None = None):
-        self.config = config or LadderConfig()
+    def __init__(self):
         self._current = 0
         self._frames: list[FeatureFrame] = []
 
     def add(self, frame: FeatureFrame) -> list[ClosedWindow]:
-        target = int(frame.timestamp_ms // self.config.window_ms)
+        target = int(frame.timestamp_ms // WINDOW_MS)
         closed: list[ClosedWindow] = []
         while self._current < target:
             closed.append(self._close())
@@ -212,13 +204,13 @@ class FeatureExtractor:
         return FeatureFrame(sample.timestamp_ms, 60000.0 / gap, sum(self.gsr_window) / GSR_WINDOW_SIZE)
 
 
-def iter_decisions(samples: Iterable[PhysioSample], ladder: LadderConfig | None = None) -> Iterator[WindowDecision]:
+def iter_decisions(samples: Iterable[PhysioSample]) -> Iterator[WindowDecision]:
     """Classify each closed window in order, reading samples only up to the frame that closes it.
 
     Ctrl-C while samples are read ends the stream, and the partial window is still classified.
     Skipped non-finite samples are counted in one log line at the end, even if closed early.
     """
-    extractor, accumulator = FeatureExtractor(), WindowAccumulator(ladder)
+    extractor, accumulator = FeatureExtractor(), WindowAccumulator()
 
     def closed_windows() -> Iterator[ClosedWindow]:
         try:
@@ -232,7 +224,7 @@ def iter_decisions(samples: Iterable[PhysioSample], ladder: LadderConfig | None 
 
     try:
         for closed in closed_windows():
-            yield classify_window(closed.frames, ladder, closed.window_index) or WindowDecision(closed.window_index)
+            yield classify_window(closed.frames, None, closed.window_index) or WindowDecision(closed.window_index)
     finally:
         if extractor.non_finite:
             log.warning("skipped %d samples with a non-finite value or timestamp", extractor.non_finite)

@@ -24,7 +24,6 @@ from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .classifier import DEFAULT_WINDOW_MS, LadderConfig
 from .evaluate import evaluate_table3, load_table3, render_report
 from .fsm import DEFAULT_BROWNOUT_TICKS, verify_determinism
 from .nodes import DEFAULT_TICK_MS, iter_wearable, run_benchtop, run_wearable
@@ -45,7 +44,7 @@ class ConfigError(ValueError):
 # true/false parse as bool, an int subclass, so bool is rejected everywhere.
 _FIELD_TYPES = {
     **dict.fromkeys(("port", "brownout_ticks", "seed"), ((int,), "an integer")),
-    **dict.fromkeys(("tick_ms", "window_ms", "duration_s", "ppg_noise", "gsr_noise"), ((int, float), "a number")),
+    **dict.fromkeys(("tick_ms", "duration_s", "ppg_noise", "gsr_noise"), ((int, float), "a number")),
     "host": ((str,), "a string"),
     **dict.fromkeys(("log", "trace_path"), ((str, type(None)), "a string or null")),
 }
@@ -64,7 +63,6 @@ class NodeConfig:
     port: int = DEFAULT_PORT
     tick_ms: float = DEFAULT_TICK_MS
     brownout_ticks: int = DEFAULT_BROWNOUT_TICKS
-    window_ms: float = DEFAULT_WINDOW_MS
     log: str | None = None
     # wearable signal source: the trace at trace_path if set, else synthesis
     trace_path: str | None = None
@@ -185,19 +183,18 @@ def _wearable_samples(config: NodeConfig):
 
 def _cmd_wearable(args: argparse.Namespace) -> int:
     config = _load_or_default(args, "wearable")
-    ladder = LadderConfig(window_ms=config.window_ms)
     endpoint = EndpointConfig(config.host, config.port)
     log_path = resolve_log_path(config.log, "wearable")
     samples = _wearable_samples(config)
     if not args.duplex:
         if config.port == 0:
             raise ConfigError("port 0 is not a send destination; only --duplex binds an ephemeral port")
-        emissions = run_wearable(samples, ladder, endpoint, log_path)
+        emissions = run_wearable(samples, endpoint, log_path)
     else:
         emissions = []
         # Port 0 binds an ephemeral port, so the wearable sends to the one actually bound.
         with UdpReceiver(endpoint) as receiver, closing(
-            iter_wearable(samples, ladder, EndpointConfig(config.host, receiver.port), log_path)
+            iter_wearable(samples, EndpointConfig(config.host, receiver.port), log_path)
         ) as windows:
 
             def next_window() -> bool:
@@ -270,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("wearable", help="run the sensing/classifying node")
     add_common(w)
     w.add_argument("--host", help="benchtop address to send to")
-    w.add_argument("--window-ms", type=float, dest="window_ms", help="classification window length")
     w.add_argument("--trace", dest="trace_path", help="replay a recorded trace CSV instead of synthesizing")
     w.add_argument("--seed", type=int, help="synthesis seed")
     w.add_argument("--duration-s", type=float, dest="duration_s", help="synthesis length in seconds")

@@ -21,7 +21,7 @@ from contextlib import closing, suppress
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterable, Iterator, Sequence
 
-from .classifier import LadderConfig, WindowDecision, iter_decisions
+from .classifier import WindowDecision, iter_decisions
 from .fsm import DEFAULT_BROWNOUT_TICKS, FsmRuntime
 from .protocol import CLASS_SYMBOLS, EndpointConfig, InputSymbol, UdpReceiver, UdpSender
 from .signals import PhysioSample
@@ -40,16 +40,15 @@ def _open_log(path: str | Path | None) -> IO[str]:
 
 def iter_wearable(
     samples: Iterable[PhysioSample],
-    ladder: LadderConfig | None = None,
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
 ) -> Iterator[WindowDecision]:
-    """For each window of `iter_decisions(samples, ladder)`: send its symbol (ABSENT if undecided), log it, yield it.
+    """For each 15 s window of `iter_decisions(samples)`: send its symbol (ABSENT if undecided), log it, yield it.
 
     A failed send leaves `byte_sent` None, beside the sender's warning. Ctrl-C during a send or
     log write stops the wearable after that window, which is yielded exactly when it was logged.
     """
-    decisions = iter_decisions(samples, ladder)
+    decisions = iter_decisions(samples)
     with _open_log(log_path) as log_file, UdpSender(endpoint) as sender, closing(decisions):
         with suppress(KeyboardInterrupt):  # in a send, the INFO line or a decision: stop before this window
             for decision in decisions:
@@ -66,12 +65,11 @@ def iter_wearable(
 
 def run_wearable(
     samples: Iterable[PhysioSample],
-    ladder: LadderConfig | None = None,
     endpoint: EndpointConfig | None = None,
     log_path: str | Path | None = None,
 ) -> list[WindowDecision]:
     """Run `iter_wearable` to the end of its stream; one `WindowDecision` per closed window."""
-    return list(iter_wearable(samples, ladder, endpoint, log_path))
+    return list(iter_wearable(samples, endpoint, log_path))
 
 
 def run_benchtop(
@@ -98,8 +96,11 @@ def run_benchtop(
     if tick_ms / 1000.0 > threading.TIMEOUT_MAX:  # the longest wait a poll's select accepts
         raise ValueError(f"tick_ms must be at most {threading.TIMEOUT_MAX * 1000.0!r}, got {tick_ms!r}")
     FsmRuntime(brownout_ticks=brownout_ticks)  # rejects a budget below one tick
-    if max_ticks is not None and max_ticks < 0:
-        raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")
+    if max_ticks is not None:
+        if isinstance(max_ticks, bool) or not isinstance(max_ticks, int):  # as FsmRuntime: bool is no count
+            raise ValueError(f"max_ticks must be None or an integer, got {max_ticks!r}")
+        if max_ticks < 0:
+            raise ValueError(f"max_ticks must be non-negative, got {max_ticks!r}")
     steps: list[SimStep] = []
     with _open_log(log_path) as log_file:
         log.info("benchtop listening on %s:%d", receiver.config.host, receiver.port)

@@ -65,6 +65,8 @@ class EndpointConfig:
     port: int = DEFAULT_PORT
 
     def __post_init__(self) -> None:
+        if isinstance(self.port, bool) or not isinstance(self.port, int):  # bool is no port, as in NodeConfig
+            raise ValueError(f"port must be an integer, got {self.port!r}")
         if not (0 <= self.port <= 65535):
             raise ValueError(f"port {self.port} outside 0-65535")
 

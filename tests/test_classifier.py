@@ -2,10 +2,12 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from biofsm import classifier
 from biofsm.classifier import (
     GSR_RANGE,
     GSR_SPLITS,
@@ -230,11 +232,6 @@ def test_raising_one_heart_rate_can_lower_a_windows_class():
     assert SEVERITY(after) < SEVERITY(before)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LadderConfig(window_ms=0.0)
-
-
 def test_fixed_tuning_keeps_its_invariants():
     for (lo, hi), (s0, s1) in ((HR_RANGE, HR_SPLITS), (GSR_RANGE, GSR_SPLITS)):
         assert lo < s0 < s1 < hi
@@ -244,7 +241,7 @@ def test_fixed_tuning_keeps_its_invariants():
 
 
 def test_accumulator_closes_back_to_back_windows():
-    acc = WindowAccumulator(LadderConfig())
+    acc = WindowAccumulator()
     assert acc.add(frame(70.0, 17.5, ts=2_000.0)) == []
     assert acc.add(frame(70.0, 17.5, ts=14_999.0)) == []
     closed = acc.add(frame(70.0, 17.5, ts=15_000.0))
@@ -357,7 +354,13 @@ SESSION = [
     (s.timestamp_ms, s.channel, s.value)
     for s in synth_physio(SignalProfile(bpm_start=80.0, gsr_start_us=17.5), 6_000, seed=5)
 ]
-STREAM_WINDOW = LadderConfig(window_ms=2000.0)
+
+
+def stream_windows():
+    """2 s windows for a property's body, where Hypothesis allows no function-scoped fixture."""
+    return mock.patch.object(classifier, "WINDOW_MS", 2000.0)
+
+
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # Gaps are bounded: a frame's timestamp closes every empty window up to it
 # in one list, so an unbounded jump would only measure that list's size.
@@ -403,52 +406,54 @@ def test_any_sample_stream_is_rejected_with_its_message_or_classified(edits):
         else:
             last[sample.channel] = sample.timestamp_ms
 
-    extractor, accumulator = FeatureExtractor(), WindowAccumulator(STREAM_WINDOW)
-    frames, windows = 0, []
-    try:
-        for sample in stream:
-            feature = extractor.add(sample)
-            if feature is not None:
-                frames += 1
-                windows += accumulator.add(feature)
-    except SampleOrderError as exc:
-        assert str(exc) == error
-    else:
-        assert error is None
-        windows += accumulator.flush()
-        assert sum(len(w.frames) for w in windows) == frames
-    assert extractor.non_finite == skipped
-    assert [w.window_index for w in windows] == list(range(len(windows)))
-    for window in windows:
-        decision = classify_window(window.frames, STREAM_WINDOW, window.window_index)
-        if decision is not None:
-            assert 1 <= decision.frames_used <= len(window.frames)
-            assert decision.arousal in ArousalClass
+    with stream_windows():
+        extractor, accumulator = FeatureExtractor(), WindowAccumulator()
+        frames, windows = 0, []
+        try:
+            for sample in stream:
+                feature = extractor.add(sample)
+                if feature is not None:
+                    frames += 1
+                    windows += accumulator.add(feature)
+        except SampleOrderError as exc:
+            assert str(exc) == error
+        else:
+            assert error is None
+            windows += accumulator.flush()
+            assert sum(len(w.frames) for w in windows) == frames
+        assert extractor.non_finite == skipped
+        assert [w.window_index for w in windows] == list(range(len(windows)))
+        for window in windows:
+            decision = classify_window(window.frames, window_index=window.window_index)
+            if decision is not None:
+                assert 1 <= decision.frames_used <= len(window.frames)
+                assert decision.arousal in ArousalClass
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, len(SESSION) - 1), STREAM_EDITS), max_size=6))
 def test_iter_decisions_is_its_parts_composed_by_hand(edits):
     stream = edit_session(edits)
-    extractor, accumulator = FeatureExtractor(), WindowAccumulator(STREAM_WINDOW)
-    windows, error = [], None
-    try:
-        for sample in stream:
-            feature = extractor.add(sample)
-            if feature is not None:
-                windows += accumulator.add(feature)
-        windows += accumulator.flush()
-    except SampleOrderError as exc:
-        error = str(exc)
-    expected = []
-    for window in windows:
-        decision = classify_window(window.frames, STREAM_WINDOW, window.window_index)
-        expected.append(WindowDecision(window.window_index) if decision is None else decision)
+    with stream_windows():
+        extractor, accumulator = FeatureExtractor(), WindowAccumulator()
+        windows, error = [], None
+        try:
+            for sample in stream:
+                feature = extractor.add(sample)
+                if feature is not None:
+                    windows += accumulator.add(feature)
+            windows += accumulator.flush()
+        except SampleOrderError as exc:
+            error = str(exc)
+        expected = []
+        for window in windows:
+            decision = classify_window(window.frames, window_index=window.window_index)
+            expected.append(WindowDecision(window.window_index) if decision is None else decision)
 
-    decisions, raised = [], None
-    try:
-        for decision in iter_decisions(stream, STREAM_WINDOW):
-            decisions.append(decision)
-    except SampleOrderError as exc:
-        raised = str(exc)
-    assert (decisions, raised) == (expected, error)
+        decisions, raised = [], None
+        try:
+            for decision in iter_decisions(stream):
+                decisions.append(decision)
+        except SampleOrderError as exc:
+            raised = str(exc)
+        assert (decisions, raised) == (expected, error)

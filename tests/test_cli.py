@@ -86,7 +86,7 @@ def test_config_role_must_match_command(tmp_path, capsys):
         ("brownout_ticks", 10.0, "an integer"),
         ("seed", True, "an integer"),
         ("tick_ms", "50", "a number"),
-        ("window_ms", False, "a number"),
+        ("tick_ms", False, "a number"),
         ("duration_s", "5", "a number"),
         ("ppg_noise", None, "a number"),
         ("gsr_noise", [0.3], "a number"),
@@ -109,8 +109,9 @@ def test_config_rejects_a_wrongly_typed_field(field, value, kind):
     [
         ("benchtop", ["--max-ticks", "1"], {"port": "9000"}, "port must be an integer, got '9000'"),
         ("wearable", [], {"duration_s": "5"}, "duration_s must be a number, got '5'"),
+        ("wearable", [], {"window_ms": 5000.0}, "unknown config keys: ['window_ms']"),  # the window is fixed
     ],
-    ids=["benchtop-port", "wearable-duration_s"],
+    ids=["benchtop-port", "wearable-duration_s", "wearable-window_ms"],
 )
 def test_wrongly_typed_config_file_exits_2(role, extra, fields, message, tmp_path, capsys):
     path = tmp_path / "node.json"
@@ -126,7 +127,6 @@ FILE_FIELDS = {
     "port": 9001,
     "tick_ms": 40.0,
     "brownout_ticks": 7,
-    "window_ms": 12000.0,
     "log": "file.jsonl",
     "trace_path": "file.csv",
     "seed": 1,
@@ -145,9 +145,9 @@ COMMON_VALUES = {"host": "10.0.0.2", "port": 9002, "tick_ms": 25.0, "brownout_ti
     [
         (
             "wearable",
-            COMMON_FLAGS + ["--window-ms", "5000", "--trace", "flag.csv", "--seed", "2", "--duration-s", "60",
+            COMMON_FLAGS + ["--trace", "flag.csv", "--seed", "2", "--duration-s", "60",
                             "--bpm", "80:100", "--gsr", "12", "--ppg-noise", "2", "--gsr-noise", "0.2"],
-            {**COMMON_VALUES, "window_ms": 5000.0, "trace_path": "flag.csv", "seed": 2,
+            {**COMMON_VALUES, "trace_path": "flag.csv", "seed": 2,
              "duration_s": 60.0, "bpm": (80.0, 100.0), "gsr": (12.0, None), "ppg_noise": 2.0, "gsr_noise": 0.2},
         ),
         ("benchtop", COMMON_FLAGS + ["--max-ticks", "1"], COMMON_VALUES),
@@ -327,8 +327,12 @@ def test_benchtop_rejects_zero_brownout_ticks_before_touching_its_log(tmp_path, 
     assert log.read_bytes() == b'{"tick": 0}\n'
 
 
-def test_unknown_subcommand_exits_2():
+def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    # The window is fixed at 15 s, so no flag sets it.
+    assert main(["wearable", "--window-ms", "5000", "--duration-s", "1", "--port", str(free_udp_port())]) == 2
+    assert "unrecognized arguments: --window-ms 5000" in capsys.readouterr().err
 
 
 INPUT_FILES = [
@@ -490,16 +494,6 @@ def test_wearable_empty_trace_sends_nothing(tmp_path, capsys):
     port = free_udp_port()
     assert main(["wearable", "--trace", str(trace), "--port", str(port)]) == 0
     assert "0 windows closed, 0 bytes sent" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("window_ms", ["nan", "inf"])
-def test_wearable_rejects_a_non_finite_window_before_touching_its_log(window_ms, tmp_path, capsys):
-    log = tmp_path / "w.jsonl"
-    log.write_bytes(b'{"window": 0}\n')
-    args = ["wearable", "--window-ms", window_ms, "--log", str(log), "--port", str(free_udp_port())]
-    assert main(args) == 2
-    assert capsys.readouterr() == ("", f"error: window_ms must be finite and positive, got {window_ms}\n")
-    assert log.read_bytes() == b'{"window": 0}\n'
 
 
 @pytest.mark.parametrize("duration", ["nan", "inf"])

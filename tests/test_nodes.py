@@ -243,6 +243,15 @@ def test_benchtop_rejects_a_tick_that_is_not_finite_and_positive(tick_ms):
         run_benchtop(StubReceiver(FakeClock()), tick_ms=tick_ms, max_ticks=1)
 
 
+@pytest.mark.parametrize("max_ticks", [2.5, True, "3"])
+def test_benchtop_rejects_a_tick_limit_that_is_not_an_integer_before_touching_its_log(max_ticks, tmp_path):
+    log = tmp_path / "benchtop.jsonl"
+    log.write_text("old\n")
+    with pytest.raises(ValueError, match=f"max_ticks must be None or an integer, got {max_ticks!r}"):
+        run_benchtop(StubReceiver(FakeClock()), log_path=log, max_ticks=max_ticks)
+    assert log.read_text() == "old\n"
+
+
 TICK_S = 0.010
 WORK_S = 0.0004
 OVERSHOOT_S = 0.0001

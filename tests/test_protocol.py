@@ -98,6 +98,9 @@ def test_port_bounds():
         EndpointConfig(port=65536)
     with pytest.raises(ValueError):
         EndpointConfig(port=-1)
+    for port in (True, 8888.0, "9"):
+        with pytest.raises(ValueError, match=f"^port must be an integer, got {port!r}$"):
+            EndpointConfig(port=port)
     EndpointConfig(port=0)  # ephemeral bind request is fine
 
 
